@@ -14,7 +14,6 @@ import (
 	"github.com/mqgo/metaquery/internal/circuit"
 	"github.com/mqgo/metaquery/internal/core"
 	"github.com/mqgo/metaquery/internal/engine"
-	"github.com/mqgo/metaquery/internal/ext"
 	"github.com/mqgo/metaquery/internal/graphs"
 	"github.com/mqgo/metaquery/internal/logic"
 	"github.com/mqgo/metaquery/internal/rat"
@@ -502,46 +501,4 @@ func BenchmarkDecideFirst(b *testing.B) {
 			}
 		})
 	}
-}
-
-// --- Beyond-paper extensions ----------------------------------------------
-
-// BenchmarkParallelDecide measures the coarse-grained parallel decision
-// procedure (the "highly parallelizable" remark of Section 5) on a NO
-// instance, which forces exploration of the full instantiation space.
-func BenchmarkParallelDecide(b *testing.B) {
-	db := workload.Random{Relations: 6, Arity: 2, Tuples: 30, Domain: 10, Seed: 4}.Build()
-	mq := workload.MQ4()
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.DecideParallel(db, mq, core.Cnf, rat.New(99, 100), core.Type0, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkNegationExtension measures the §5 future-work extension
-// (negated body literals) against the positive-only baseline.
-func BenchmarkNegationExtension(b *testing.B) {
-	db := workload.Random{Relations: 3, Arity: 2, Tuples: 40, Domain: 10, Seed: 8}.Build()
-	th := core.AllAbove(rat.Zero, rat.Zero, rat.Zero)
-	positive := ext.MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
-	negated := ext.MustParse("R(X,Z) <- P(X,Y), Q(Y,Z), not S(X,Z)")
-	b.Run("positive-only", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ext.Answers(db, positive, core.Type0, th); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("with-negation", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ext.Answers(db, negated, core.Type0, th); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -68,32 +68,6 @@ func TestDecideContextCancelled(t *testing.T) {
 	}
 }
 
-func TestDecideParallelContextCancelled(t *testing.T) {
-	db := ctxTestDB(t)
-	mq := MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	// Threshold above every confidence so no witness can cut the search
-	// short before the cancelled context is noticed.
-	_, _, err := DecideParallelContext(ctx, db, mq, Cnf, rat.New(101, 100), Type1, 4)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestDecideParallelContextWitnessBeatsCancellation(t *testing.T) {
-	// With a live context a witness must still be found and reported.
-	db := ctxTestDB(t)
-	mq := MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
-	yes, witness, err := DecideParallelContext(context.Background(), db, mq, Cnf, rat.New(1, 2), Type0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !yes || witness == nil {
-		t.Fatal("expected YES with witness under a live context")
-	}
-}
-
 func TestCandidateIndexMatchesCandidates(t *testing.T) {
 	db := ctxTestDB(t)
 	db.MustInsertNamed("wide", "a", "b", "c") // arity-3 relation for type-2

@@ -13,7 +13,7 @@ import (
 // atom text), the compiled join plans (keyed by atom-set shape and, for
 // cost-ordered plans, join order), and — when the evaluator carries
 // cardinality statistics — the per-atom cost estimates. The instantiation
-// searches (NaiveAnswers, Decide, DecideParallel) evaluate thousands of
+// searches (NaiveAnswers, Decide) evaluate thousands of
 // rules whose atoms and join shapes repeat constantly; holding one
 // Evaluator per search turns those repeats into cache hits instead of
 // fresh relation scans and join-order analyses.
@@ -328,8 +328,8 @@ func (ev *Evaluator) supportOf(body []relation.Atom, jb *relation.Table) (rat.Ra
 // needs instead of all three indices: support never joins the head and
 // returns as soon as one body atom's fraction exceeds k (support is a
 // maximum), confidence and cover join only their two sides. It is the
-// evaluator hook behind the sequential and parallel deciders and the
-// engine's first-witness path.
+// evaluator hook behind the naive decider and the engine's first-witness
+// path.
 func (ev *Evaluator) IndexExceeds(ix Index, r Rule, k rat.Rat) (bool, error) {
 	switch ix {
 	case Sup:

@@ -2,7 +2,7 @@
 // scenario (internal/gen) through every execution path of the repo — the
 // naive enumerator, the findRules engine under both the cost-based and
 // the greedy join planner, the Prepared/Stream session API (sequential
-// and worker-pool parallel), and the sequential, parallel, first-witness
+// and worker-pool parallel), and the naive, engine-backed, first-witness
 // (sequential and partitioned) and sampling ε–δ approximate
 // deciders — and checks each against the transparent brute-force oracle
 // (internal/oracle), rat-exact and order-insensitive. A disagreement anywhere is a bug in one of the
@@ -172,7 +172,7 @@ type Mismatch struct {
 	Scenario *gen.Scenario
 	// Path names the execution path that disagreed: "naive", "engine",
 	// "engine-greedy", "stream", "stream-rerun", "stream-parallel",
-	// "findrules-parallel", "decide", "decide-parallel", "engine-decide",
+	// "findrules-parallel", "decide", "engine-decide",
 	// "decide-first", "decide-first-parallel", "decide-approx", "witness".
 	Path string
 	// Detail is a human-readable description of the divergence.
@@ -388,10 +388,11 @@ func RunTally(s *gen.Scenario, tally *ApproxTally) (*Mismatch, error) {
 
 	// Decision problems: for every index, derive bounds that flip the
 	// verdict — 0 (YES iff the max index is positive) and the exact max
-	// (always NO under the strict comparison) — and check the sequential
-	// decider, the parallel decider (seeded worker count) and the
-	// engine-backed decider against the oracle's verdict, plus every
-	// returned witness against the oracle's index values.
+	// (always NO under the strict comparison) — and check the naive
+	// decider, the engine-backed decider and the first-witness paths
+	// (sequential and with the seeded worker count) against the oracle's
+	// verdict, plus every returned witness against the oracle's index
+	// values.
 	for _, ix := range core.AllIndices {
 		maxV := maxes[ix]
 		bounds := []rat.Rat{rat.Zero, maxV}
@@ -411,19 +412,6 @@ func RunTally(s *gen.Scenario, tally *ApproxTally) (*Mismatch, error) {
 					Detail: fmt.Sprintf("%s > %s: got %v, oracle max %s says %v", ix, k, gotSeq, maxV, wantYes)}, nil
 			}
 			if m := checkWitness(s, ix, k, wit, "decide"); m != nil {
-				return m, nil
-			}
-
-			workers := 1 + rng.Intn(6)
-			gotPar, witPar, err := core.DecideParallel(s.DB, s.MQ, ix, k, s.Type, workers)
-			if err != nil {
-				return nil, fmt.Errorf("decide-parallel: %w", err)
-			}
-			if gotPar != wantYes {
-				return &Mismatch{Scenario: s, Path: "decide-parallel",
-					Detail: fmt.Sprintf("%s > %s (workers=%d): got %v, oracle says %v", ix, k, workers, gotPar, wantYes)}, nil
-			}
-			if m := checkWitness(s, ix, k, witPar, "decide-parallel"); m != nil {
 				return m, nil
 			}
 

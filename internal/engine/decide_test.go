@@ -183,11 +183,11 @@ func TestDecideFirstCancelMidSearch(t *testing.T) {
 	}
 }
 
-// DecideFirst must agree with DecideParallel on generated scenarios while
-// both run concurrently from many goroutines (exercised under -race in
-// CI): same verdicts, valid witnesses, no data races on the shared
+// DecideFirst must agree with the naive Decide on generated scenarios
+// while both run concurrently from many goroutines (exercised under -race
+// in CI): same verdicts, valid witnesses, no data races on the shared
 // Prepared.
-func TestDecideFirstAgreesWithDecideParallelConcurrent(t *testing.T) {
+func TestDecideFirstAgreesWithDecideConcurrent(t *testing.T) {
 	shapes := []string{"t0-chain", "t1-cycle", "t2-pad", "t1-arity-mix", "t2-empty-rel"}
 	var wg sync.WaitGroup
 	for i, shape := range shapes {
@@ -210,7 +210,7 @@ func TestDecideFirstAgreesWithDecideParallelConcurrent(t *testing.T) {
 					inner.Add(1)
 					go func(ix core.Index, k rat.Rat) {
 						defer inner.Done()
-						wantYes, _, err := core.DecideParallel(s.DB, s.MQ, ix, k, s.Type, 3)
+						wantYes, _, err := core.Decide(s.DB, s.MQ, ix, k, s.Type)
 						if err != nil {
 							t.Error(err)
 							return
@@ -221,7 +221,7 @@ func TestDecideFirstAgreesWithDecideParallelConcurrent(t *testing.T) {
 							return
 						}
 						if yes != wantYes {
-							t.Errorf("%s/%d %s > %s: DecideFirst %v, DecideParallel %v", shape, seed, ix, k, yes, wantYes)
+							t.Errorf("%s/%d %s > %s: DecideFirst %v, Decide %v", shape, seed, ix, k, yes, wantYes)
 							return
 						}
 						if !yes {

@@ -54,10 +54,12 @@
 //	    break // abandoning the loop abandons the remaining search
 //	}
 //
-// Every free-function entry point (FindRules, Decide, NaiveFindRules,
-// DecideParallel) remains available as a thin wrapper over a one-shot
-// Engine, together with a context-aware variant (FindRulesContext,
-// DecideContext, ...) that stops promptly with ctx.Err() on cancellation.
+// The free functions FindRules, Decide and DecideParallel remain available
+// as thin wrappers over a one-shot Engine (both deciders run its
+// first-witness path; DecideParallel with Options.Workers), and
+// NaiveFindRules keeps the paper's naive enumeration as the reference.
+// Each has a context-aware variant (FindRulesContext, DecideContext, ...)
+// that stops promptly with ctx.Err() on cancellation.
 package metaquery
 
 import (
@@ -203,7 +205,8 @@ func NaiveFindRules(db *Database, mq *Metaquery, typ InstType, th Thresholds) ([
 
 // Decide solves the decision problem ⟨DB, MQ, I, k, T⟩ of the paper: is
 // there a type-T instantiation with I(σ(MQ)) > k? It returns a witness
-// instantiation on YES.
+// instantiation on YES. It is a thin wrapper over a one-shot Engine's
+// first-witness path (Prepared.DecideFirst).
 func Decide(db *Database, mq *Metaquery, ix Index, k Rat, typ InstType) (bool, *Instantiation, error) {
 	return DecideContext(context.Background(), db, mq, ix, k, typ)
 }
@@ -214,9 +217,12 @@ func Top(answers []Answer, by Index, k int) []Answer {
 	return engine.TopAnswers(answers, by, k)
 }
 
-// DecideParallel is Decide with worker goroutines partitioning the
-// instantiation space (see the paper's Section 5 parallelizability remark);
-// workers <= 0 selects GOMAXPROCS.
+// DecideParallel is Decide over a one-shot Engine whose first-witness
+// search runs on worker goroutines: they claim chunks of the first
+// decomposition node's candidate atoms off a shared cursor and stop at the
+// first witness (see the paper's Section 5 parallelizability remark).
+// workers <= 0 selects GOMAXPROCS; workers == 1 runs sequentially. The
+// verdict equals Decide's; the witness may differ when several exist.
 func DecideParallel(db *Database, mq *Metaquery, ix Index, k Rat, typ InstType, workers int) (bool, *Instantiation, error) {
 	return DecideParallelContext(context.Background(), db, mq, ix, k, typ, workers)
 }

@@ -2,6 +2,7 @@ package metaquery
 
 import (
 	"context"
+	"runtime"
 
 	"github.com/mqgo/metaquery/internal/core"
 	"github.com/mqgo/metaquery/internal/engine"
@@ -84,10 +85,10 @@ func NaiveFindRulesContext(ctx context.Context, db *Database, mq *Metaquery, typ
 	return core.NaiveAnswersContext(ctx, db, mq, typ, th)
 }
 
-// DecideContext is Decide bounded by ctx: enumeration stops promptly with
+// DecideContext is Decide bounded by ctx: the search stops promptly with
 // ctx.Err() when ctx is cancelled or its deadline passes.
 func DecideContext(ctx context.Context, db *Database, mq *Metaquery, ix Index, k Rat, typ InstType) (bool, *Instantiation, error) {
-	return core.DecideContext(ctx, db, mq, ix, k, typ)
+	return engine.DecideFirst(ctx, db, mq, ix, k, typ)
 }
 
 // DecideFirstContext solves the decision problem ⟨DB, MQ, I, k, T⟩ with
@@ -105,7 +106,15 @@ func DecideFirstContext(ctx context.Context, db *Database, mq *Metaquery, ix Ind
 }
 
 // DecideParallelContext is DecideParallel bounded by ctx: all workers stop
-// promptly with ctx.Err() when ctx is cancelled or its deadline passes.
+// promptly with ctx.Err() when ctx is cancelled or its deadline passes. A
+// witness found before cancellation is still returned.
 func DecideParallelContext(ctx context.Context, db *Database, mq *Metaquery, ix Index, k Rat, typ InstType, workers int) (bool, *Instantiation, error) {
-	return core.DecideParallelContext(ctx, db, mq, ix, k, typ, workers)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	p, err := engine.NewEngine(db).Prepare(mq, Options{Type: typ, Workers: workers})
+	if err != nil {
+		return false, nil, err
+	}
+	return p.DecideFirst(ctx, ix, k)
 }

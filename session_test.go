@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/mqgo/metaquery/internal/core"
 )
 
 // TestPublicEngineFlow exercises the session API end to end: one Engine,
@@ -63,7 +65,7 @@ func TestPublicDecideFirst(t *testing.T) {
 	mq := MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
 	for _, ix := range []Index{Sup, Cnf, Cvr} {
 		for _, k := range []Rat{MustRat("0"), MustRat("1")} {
-			wantYes, _, err := Decide(db, mq, ix, k, Type0)
+			wantYes, _, err := core.Decide(db, mq, ix, k, Type0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,22 +74,75 @@ func TestPublicDecideFirst(t *testing.T) {
 				t.Fatal(err)
 			}
 			if yes != wantYes {
-				t.Errorf("%s > %s: DecideFirstContext %v, Decide %v", ix, k, yes, wantYes)
+				t.Errorf("%s > %s: DecideFirstContext %v, core.Decide %v", ix, k, yes, wantYes)
 			}
 			if yes {
-				rule, err := wit.Apply(mq)
-				if err != nil {
-					t.Fatalf("witness does not instantiate: %v", err)
-				}
-				v, err := ix.Compute(db, rule)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !v.Greater(k) {
-					t.Errorf("witness %s has %s = %s, not > %s", rule, ix, v, k)
+				checkWitness(t, db, mq, wit, ix, k)
+			}
+		}
+	}
+}
+
+// TestPublicDecideParallel checks the engine-backed parallel wrapper at the
+// GOMAXPROCS default, sequential and sharded worker counts: verdicts match
+// the naive decider and every YES carries a witness that beats k. The
+// metaqueries without relation patterns or without candidates have nothing
+// to shard and must fall back to the sequential search.
+func TestPublicDecideParallel(t *testing.T) {
+	unary := NewDatabase()
+	unary.MustInsertNamed("p", "a")
+	cases := []struct {
+		db *Database
+		mq string
+	}{
+		{speaksDB(), "R(X,Z) <- P(X,Y), Q(Y,Z)"},
+		{speaksDB(), "speaks(X,Z) <- citizen(X,Y), language(Y,Z)"},
+		{unary, "R(X,Y,Z) <- p(X), P(X,Y,Z)"},
+	}
+	for _, c := range cases {
+		mq := MustParse(c.mq)
+		for _, workers := range []int{0, 1, 4} {
+			for _, typ := range []InstType{Type0, Type1} {
+				for _, ix := range []Index{Sup, Cnf, Cvr} {
+					for _, k := range []Rat{MustRat("0"), MustRat("1/2"), MustRat("1")} {
+						wantYes, _, err := core.Decide(c.db, mq, ix, k, typ)
+						if err != nil {
+							t.Fatal(err)
+						}
+						yes, wit, err := DecideParallel(c.db, mq, ix, k, typ, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if yes != wantYes {
+							t.Errorf("%s workers=%d %s %s > %s: DecideParallel %v, core.Decide %v", c.mq, workers, typ, ix, k, yes, wantYes)
+						}
+						if yes {
+							checkWitness(t, c.db, mq, wit, ix, k)
+						}
+					}
 				}
 			}
 		}
+	}
+}
+
+// checkWitness asserts that wit instantiates mq to a rule whose ix value
+// over db exceeds k.
+func checkWitness(t *testing.T, db *Database, mq *Metaquery, wit *Instantiation, ix Index, k Rat) {
+	t.Helper()
+	if wit == nil {
+		t.Fatalf("%s > %s: YES without a witness", ix, k)
+	}
+	rule, err := wit.Apply(mq)
+	if err != nil {
+		t.Fatalf("witness does not instantiate: %v", err)
+	}
+	v, err := ix.Compute(db, rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Greater(k) {
+		t.Errorf("witness %s has %s = %s, not > %s", rule, ix, v, k)
 	}
 }
 
