@@ -280,7 +280,7 @@ func BenchmarkThm412WidthScaling(b *testing.B) {
 	}
 }
 
-// --- Figure 4: findRules vs naive, and ablations -------------------------
+// --- Figure 4: findRules vs naive ----------------------------------------
 
 // BenchmarkFindRulesVsNaive compares the Figure 4 engine against the naive
 // enumerator on a selective chain workload.
@@ -302,33 +302,6 @@ func BenchmarkFindRulesVsNaive(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblation quantifies each design choice of the Figure 4
-// algorithm by disabling it: support pruning, the semijoin full reducer,
-// and the minimal-width decomposition.
-func BenchmarkAblation(b *testing.B) {
-	db := workload.ChainDB(3, 25, 120, 6)
-	mq := workload.ChainMQ(3)
-	th := core.AllAbove(rat.New(1, 4), rat.New(1, 4), rat.Zero)
-	variants := []struct {
-		name string
-		opt  engine.Options
-	}{
-		{"full", engine.Options{Type: core.Type0, Thresholds: th}},
-		{"no-support-pruning", engine.Options{Type: core.Type0, Thresholds: th, DisableSupportPruning: true}},
-		{"no-full-reducer", engine.Options{Type: core.Type0, Thresholds: th, DisableFullReducer: true}},
-		{"flat-decomposition", engine.Options{Type: core.Type0, Thresholds: th, FlatDecomposition: true}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := engine.FindRules(db, mq, v.opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // --- §4 closing analysis: instantiation-space growth ---------------------

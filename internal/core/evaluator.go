@@ -21,8 +21,9 @@ import (
 // With statistics attached (NewEvaluatorStats), Join orders multi-atom
 // joins cost-based: the actual input cardinalities and the estimated
 // per-column distinct counts drive a dynamic-programming order search
-// (stats.Order) instead of the size-blind shape-greedy compiled order.
-// JoinGreedy keeps the legacy order reachable for ablations and baselines.
+// (stats.Order). Without statistics (NewEvaluator) Join keeps the
+// size-blind shape-greedy compiled order; the naive baseline runs that
+// way, and experiment E22 compares the two evaluators.
 //
 // An Evaluator snapshots nothing: it reads the database lazily, so the
 // database must not be modified while the Evaluator is in use; Fork derives
@@ -30,7 +31,7 @@ import (
 // concurrent use.
 type Evaluator struct {
 	db *relation.Database
-	st *stats.Stats // nil = no statistics; Join degrades to JoinGreedy
+	st *stats.Stats // nil = no statistics; Join keeps the shape-greedy order
 
 	mu    sync.RWMutex
 	atoms map[string]atomEntry
@@ -61,7 +62,7 @@ type orderBuf struct {
 
 var orderScratch = sync.Pool{New: func() any { return new(orderBuf) }}
 
-// joinBuf is the pooled input staging of one JoinOrdered call: the per-atom
+// joinBuf is the pooled input staging of one Join call: the per-atom
 // tables and schemas handed to the compiled plan. Neither slice is retained
 // by the plan cache or by Run (plans copy what they keep), so the buffers
 // are safe to recycle the moment the join returns.
@@ -197,31 +198,16 @@ func (ev *Evaluator) tableForKey(k string, a relation.Atom) (*relation.Table, er
 // Join computes J(R) for the atom set R through a compiled join plan: the
 // per-atom tables come from the TableFor cache and the join order and column
 // bookkeeping from the plan cache, so repeated shapes pay only the
-// build/probe passes. With statistics attached, the join order is chosen
-// cost-based per atom set (see JoinOrdered); otherwise the shape-greedy
-// compiled order applies. The result must be treated as immutable
-// (single-atom joins return the cached atom table itself).
+// build/probe passes. With statistics attached, joins of three or more
+// atoms are ordered cost-based per atom set (stats.OrderInto, cached as one
+// plan per (shape, order) pair); otherwise the shape-greedy compiled order
+// applies. The result must be treated as immutable (single-atom joins
+// return the cached atom table itself).
 func (ev *Evaluator) Join(atoms []relation.Atom) (*relation.Table, error) {
-	return ev.JoinOrdered(atoms, ev.st != nil)
-}
-
-// JoinGreedy is Join pinned to the legacy shape-greedy compiled order,
-// ignoring any attached statistics. It is the baseline the cost-based
-// planner is benchmarked (E22) and differentially tested against.
-func (ev *Evaluator) JoinGreedy(atoms []relation.Atom) (*relation.Table, error) {
-	return ev.JoinOrdered(atoms, false)
-}
-
-// JoinOrdered is the shared implementation of Join and JoinGreedy:
-// costBased selects between the statistics-driven order search and the
-// shape-greedy compiled order. Both run through the same plan cache
-// (order-pinned plans cache per (shape, order) pair), so the two planners
-// coexist on one evaluator.
-func (ev *Evaluator) JoinOrdered(atoms []relation.Atom, costBased bool) (*relation.Table, error) {
 	if len(atoms) == 0 {
 		return relation.Unit(), nil
 	}
-	costBased = costBased && ev.st != nil && len(atoms) > 2
+	costBased := ev.st != nil && len(atoms) > 2
 
 	// Pooled input staging: the table and schema slices live only for this
 	// call (plans copy what they keep), so they come from a pool instead of

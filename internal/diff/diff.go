@@ -1,8 +1,8 @@
 // Package diff is the differential oracle harness: it runs one generated
 // scenario (internal/gen) through every execution path of the repo — the
-// naive enumerator, the findRules engine under both the cost-based and
-// the greedy join planner, the Prepared/Stream session API (sequential
-// and worker-pool parallel), and the naive, engine-backed, first-witness
+// naive enumerator, the findRules engine (cost-based planner), the
+// Prepared/Stream session API (sequential and worker-pool parallel), and
+// the naive, engine-backed, first-witness
 // (sequential and partitioned) and sampling ε–δ approximate
 // deciders — and checks each against the transparent brute-force oracle
 // (internal/oracle), rat-exact and order-insensitive. A disagreement anywhere is a bug in one of the
@@ -171,9 +171,9 @@ func (t *ApproxTally) Summary() string {
 type Mismatch struct {
 	Scenario *gen.Scenario
 	// Path names the execution path that disagreed: "naive", "engine",
-	// "engine-greedy", "stream", "stream-rerun", "stream-parallel",
-	// "findrules-parallel", "decide", "engine-decide",
-	// "decide-first", "decide-first-parallel", "decide-approx", "witness".
+	// "stream", "stream-rerun", "stream-parallel", "findrules-parallel",
+	// "decide", "engine-decide", "decide-first", "decide-first-parallel",
+	// "decide-approx", "witness".
 	Path string
 	// Detail is a human-readable description of the divergence.
 	Detail string
@@ -300,7 +300,7 @@ func RunTally(s *gen.Scenario, tally *ApproxTally) (*Mismatch, error) {
 	}
 
 	// Path 2: findRules engine (one-shot), running the cost-based planner
-	// (the default: the engine carries cardinality statistics).
+	// over the engine's cardinality statistics.
 	opt := engine.Options{Type: s.Type, Thresholds: s.Th}
 	eng := engine.NewEngine(s.DB)
 	prep, err := eng.Prepare(s.MQ, opt)
@@ -313,24 +313,6 @@ func RunTally(s *gen.Scenario, tally *ApproxTally) (*Mismatch, error) {
 	}
 	if d := diffSets(answerSet(coreKeys(full)), wantSet); d != "" {
 		return &Mismatch{Scenario: s, Path: "engine", Detail: d}, nil
-	}
-
-	// Path 2b: the same search with the cost-based planner disabled (the
-	// legacy size-greedy join orders). Cost-based plans must be
-	// row-identical to greedy plans on every scenario — join order is a
-	// performance choice, never a semantic one.
-	greedyOpt := opt
-	greedyOpt.DisableCostPlanner = true
-	prepGreedy, err := eng.Prepare(s.MQ, greedyOpt)
-	if err != nil {
-		return nil, fmt.Errorf("prepare-greedy: %w", err)
-	}
-	greedy, err := prepGreedy.FindRules(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("engine-greedy: %w", err)
-	}
-	if d := diffSets(answerSet(coreKeys(greedy)), wantSet); d != "" {
-		return &Mismatch{Scenario: s, Path: "engine-greedy", Detail: d}, nil
 	}
 
 	// Path 3: Prepared.Stream, twice — the second execution rides the

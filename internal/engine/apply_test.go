@@ -472,7 +472,7 @@ func TestApplyEpochCoherence(t *testing.T) {
 					return
 				}
 				s := eng.snap.Load()
-				if s.cands.Database() != s.db || s.ev.Database() != s.db || (s.st != nil && s.st.Database() != s.db) {
+				if s.cands.Database() != s.db || s.ev.Database() != s.db || s.st.Database() != s.db {
 					t.Errorf("worker %d: snapshot %d mixes database versions", w, s.epoch)
 					return
 				}
@@ -495,6 +495,19 @@ func TestApplyEpochCoherence(t *testing.T) {
 	if diff := eng.Statistics().DiffFrom(stats.Collect(eng.Database())); diff != "" {
 		t.Fatalf("statistics after 25 racing applies diverge:\n%s", diff)
 	}
+}
+
+// TestSnapshotRequiresStatistics pins the publication invariant that every
+// snapshot carries statistics: a stats-less snapshot panics at construction
+// instead of failing deep inside a search.
+func TestSnapshotRequiresStatistics(t *testing.T) {
+	db := workload.ChainDB(2, 6, 20, 13)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("newSnapshot accepted a snapshot without statistics")
+		}
+	}()
+	newSnapshot(0, db, core.NewCandidateIndex(db), nil, core.NewEvaluator(db))
 }
 
 func mustFind(t *testing.T, eng *Engine, mq *core.Metaquery) []core.Answer {

@@ -6,44 +6,9 @@ import (
 	"testing"
 
 	"github.com/mqgo/metaquery/internal/core"
-	"github.com/mqgo/metaquery/internal/gen"
 	"github.com/mqgo/metaquery/internal/rat"
 	"github.com/mqgo/metaquery/internal/workload"
 )
-
-// TestCostPlannerMatchesGreedy checks the central planning invariant on
-// generated scenarios: the cost-based planner and the greedy baseline
-// produce identical answer sets (rules and exact index values) — join
-// order is a performance decision, never a semantic one.
-func TestCostPlannerMatchesGreedy(t *testing.T) {
-	ctx := context.Background()
-	for _, shape := range gen.Shapes() {
-		for seed := int64(0); seed < 4; seed++ {
-			s, err := gen.NewScenario(seed, shape)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng := NewEngine(s.DB)
-			cost, _, err := eng.FindRulesStats(ctx, s.MQ, Options{Type: s.Type, Thresholds: s.Th})
-			if err != nil {
-				t.Fatalf("%s/%d: cost planner: %v", shape, seed, err)
-			}
-			greedy, _, err := eng.FindRulesStats(ctx, s.MQ, Options{Type: s.Type, Thresholds: s.Th, DisableCostPlanner: true})
-			if err != nil {
-				t.Fatalf("%s/%d: greedy planner: %v", shape, seed, err)
-			}
-			if len(cost) != len(greedy) {
-				t.Fatalf("%s/%d: cost planner found %d answers, greedy %d", shape, seed, len(cost), len(greedy))
-			}
-			for i := range cost {
-				if cost[i].Rule.String() != greedy[i].Rule.String() ||
-					cost[i].Sup != greedy[i].Sup || cost[i].Cnf != greedy[i].Cnf || cost[i].Cvr != greedy[i].Cvr {
-					t.Fatalf("%s/%d: answer %d differs: %v vs %v", shape, seed, i, cost[i], greedy[i])
-				}
-			}
-		}
-	}
-}
 
 // TestDecideFirstParallelMatchesSequential compares verdicts of the
 // partitioned first-witness search against the sequential one across
@@ -167,9 +132,6 @@ func TestExplainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ex.CostPlanner {
-		t.Error("cost planner not reported active on a statistics-backed engine")
-	}
 	if len(ex.Nodes) != len(prep.order) {
 		t.Fatalf("explain has %d nodes, decomposition %d", len(ex.Nodes), len(prep.order))
 	}
@@ -203,72 +165,6 @@ func TestExplainRun(t *testing.T) {
 		if answers[i].Rule.String() != want[i].Rule.String() {
 			t.Fatalf("answer %d differs: %v vs %v", i, answers[i], want[i])
 		}
-	}
-}
-
-// TestNodeEstimateLegacyFallback pins the statistics-free estimate path:
-// with the engine's statistics removed, decideOrder still produces a valid
-// bottom-up order ranked by smallest base-relation cardinality, and the
-// candidate ordering cache stays empty (raw index order applies).
-func TestNodeEstimateLegacyFallback(t *testing.T) {
-	db := workload.ChainDB(3, 10, 30, 2)
-	mq := workload.ChainMQ(3)
-	eng := NewEngine(db)
-	// Simulate a statistics-free engine by installing a stats-less snapshot.
-	eng.snap.Store(newSnapshot(0, db, core.NewCandidateIndex(db), nil, core.NewEvaluator(db)))
-	prep, err := eng.Prepare(mq, Options{Type: core.Type0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep := prep.epoch()
-	order := prep.decideOrder(ep)
-	if len(order) != len(prep.order) {
-		t.Fatalf("legacy decide order has %d nodes, want %d", len(order), len(prep.order))
-	}
-	for _, n := range prep.order {
-		if est := prep.nodeEstimate(ep, n); est <= 0 {
-			t.Errorf("legacy node estimate %v for node %d, want > 0", est, n.ID)
-		}
-	}
-	if oc := prep.orderedCandidates(ep); oc != nil {
-		t.Errorf("candidate ordering built without statistics: %v", oc)
-	}
-	// The search still runs (and DecideFirst still answers) without stats.
-	yes, _, err := prep.DecideFirst(context.Background(), core.Sup, rat.Zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !yes {
-		t.Error("stat-free DecideFirst missed the witness")
-	}
-}
-
-// TestDisableCostPlannerUsesLegacyEstimates pins the ablation contract:
-// with DisableCostPlanner set, the decision order ranks nodes by the
-// legacy smallest-base-relation estimate even though the engine carries
-// statistics, so the flag really compares against the full pre-statistics
-// behavior.
-func TestDisableCostPlannerUsesLegacyEstimates(t *testing.T) {
-	db := workload.ChainDB(3, 10, 30, 2)
-	mq := workload.ChainMQ(3)
-	eng := NewEngine(db)
-	prep, err := eng.Prepare(mq, Options{Type: core.Type0, DisableCostPlanner: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep := prep.epoch()
-	for _, n := range prep.order {
-		got := prep.nodeEstimate(ep, n)
-		if want := prep.nodeEstimateLegacy(ep, n); got != want {
-			t.Errorf("node %d: estimate %v with cost planner disabled, want legacy %v", n.ID, got, want)
-		}
-	}
-	ex, _, err := prep.ExplainRun(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.CostPlanner {
-		t.Error("explain reports the cost planner active under DisableCostPlanner")
 	}
 }
 

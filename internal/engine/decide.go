@@ -30,8 +30,8 @@ import (
 // queried index does not need.
 //
 // The thresholds and limit the Prepared was built with are ignored for the
-// decision run; its type, ablation switches, decomposition and caches are
-// shared. A Prepared can serve enumeration and decision runs concurrently.
+// decision run; its type, decomposition and caches are shared. A Prepared
+// can serve enumeration and decision runs concurrently.
 func (p *Prepared) DecideFirst(ctx context.Context, ix core.Index, k rat.Rat) (bool, *core.Instantiation, error) {
 	yes, wit, _, err := p.DecideFirstStats(ctx, ix, k)
 	return yes, wit, err
@@ -149,9 +149,7 @@ func (p *Prepared) decideFirstParallel(ctx context.Context, ix core.Index, k rat
 				restrict[schemeID] = block
 				yes, wit, st, err := p.decideFirstSeq(wctx, ix, k, restrict, ep, root)
 				mu.Lock()
-				if st != nil {
-					merged.merge(st)
-				}
+				merged.merge(st)
 				if err != nil {
 					if firstErr == nil && wctx.Err() == nil {
 						firstErr = err
@@ -395,15 +393,9 @@ func (p *Prepared) decideOrder(ep *prepEpoch) []*hypertree.Node {
 // nodeEstimate estimates the output size of one decomposition node's
 // λ-join: each scheme contributes the estimate of its cheapest candidate
 // atom (an ordinary atom contributes its own estimate), and the per-scheme
-// estimates compose through the join-size formula. Without snapshot
-// statistics — or with the cost planner disabled for this Prepared — it
-// degrades to the smallest base-relation cardinality over the node's
-// schemes, the pre-statistics heuristic, so the DisableCostPlanner
-// ablation really does compare against the full legacy behavior.
+// estimates compose through the join-size formula, all priced from the
+// snapshot statistics.
 func (p *Prepared) nodeEstimate(ep *prepEpoch, n *hypertree.Node) float64 {
-	if ep.snap.st == nil || p.opt.DisableCostPlanner {
-		return p.nodeEstimateLegacy(ep, n)
-	}
 	acc := stats.Est{}
 	first := true
 	for _, id := range p.nodeSchemes[n.ID] {
@@ -433,26 +425,4 @@ func (p *Prepared) nodeEstimate(ep *prepEpoch, n *hypertree.Node) float64 {
 		return 0
 	}
 	return acc.Rows
-}
-
-// nodeEstimateLegacy is the statistics-free estimate: the smallest
-// base-relation cardinality over the node's λ schemes.
-func (p *Prepared) nodeEstimateLegacy(ep *prepEpoch, n *hypertree.Node) float64 {
-	db := ep.snap.db
-	best := int(^uint(0) >> 1)
-	for _, id := range p.nodeSchemes[n.ID] {
-		bs := p.schemes[id]
-		if !bs.scheme.PredVar {
-			if rel := db.Relation(bs.scheme.Pred); rel != nil && rel.Len() < best {
-				best = rel.Len()
-			}
-			continue
-		}
-		for _, a := range ep.snap.cands.Candidates(bs.scheme, p.opt.Type, bs.patternIdx) {
-			if rel := db.Relation(a.Pred); rel != nil && rel.Len() < best {
-				best = rel.Len()
-			}
-		}
-	}
-	return float64(best)
 }

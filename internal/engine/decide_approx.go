@@ -182,10 +182,8 @@ func (d *approxDecider) supBody(b *body) error {
 			continue
 		}
 		est := float64(ra.Len())
-		if r.ep.snap.st != nil && !r.opt.DisableCostPlanner {
-			if e := r.ep.snap.ev.AtomEst(atom).Rows; e > 0 {
-				est = e
-			}
+		if e := r.ep.snap.ev.AtomEst(atom).Rows; e > 0 {
+			est = e
 		}
 		ras, ids, ests = append(ras, ra), append(ids, id), append(ests, est)
 		total += est

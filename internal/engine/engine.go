@@ -44,13 +44,17 @@ import (
 
 	"github.com/mqgo/metaquery/internal/approx"
 	"github.com/mqgo/metaquery/internal/core"
-	"github.com/mqgo/metaquery/internal/hypertree"
 	"github.com/mqgo/metaquery/internal/obs"
 	"github.com/mqgo/metaquery/internal/rat"
 	"github.com/mqgo/metaquery/internal/relation"
 )
 
-// Options configures a findRules run.
+// Options configures a findRules run. Every run executes the whole
+// Figure 4 algorithm: the minimal-width hypertree decomposition, both
+// semijoin full-reducer halves, the enoughSupport check, and joins ordered
+// by the cost-based planner over the engine's statistics. The options
+// choose what is searched and how the work is scheduled, not which parts
+// of the algorithm run.
 type Options struct {
 	// Type selects the instantiation semantics (type-0/1/2).
 	Type core.InstType
@@ -91,30 +95,9 @@ type Options struct {
 	// obs.WithTracer on the execution context instead (the server's path:
 	// Options participate in its prepared-cache key).
 	Tracer *obs.Tracer
-
-	// Ablation switches (all default off = full algorithm). They change
-	// performance only, never results; see the ablation benchmarks.
-
-	// DisableCostPlanner pins every multi-atom join to the legacy
-	// size-greedy ordering, ignoring the engine's cardinality statistics:
-	// node joins run through the shape-greedy compiled plans and body joins
-	// through the size-sorted dynamic order. It is the baseline the
-	// cost-based planner is benchmarked (experiment E22) and differentially
-	// tested against.
-	DisableCostPlanner bool
-
-	// DisableSupportPruning skips the enoughSupport early check; support is
-	// still computed exactly for reporting and final filtering.
-	DisableSupportPruning bool
-	// DisableFullReducer skips both semijoin halves; node tables are used
-	// unreduced and the body join is materialized directly.
-	DisableFullReducer bool
-	// FlatDecomposition forces the trivial single-node decomposition
-	// (width = number of body schemes) instead of the minimal-width one.
-	FlatDecomposition bool
 }
 
-// Stats reports search-effort counters for experiments and ablations.
+// Stats reports search-effort counters for experiments and benchmarks.
 type Stats struct {
 	// Width is the hypertree width of the decomposition used.
 	Width int
@@ -216,32 +199,3 @@ var errStop = fmt.Errorf("engine: consumer stopped iteration")
 
 // errFound signals that a decision run hit its first admissible witness.
 var errFound = fmt.Errorf("engine: decision witness found")
-
-// flatDecomposition builds the trivial one-node decomposition used by the
-// FlatDecomposition ablation.
-func flatDecomposition(atoms []hypertree.AtomSchema) *hypertree.Decomposition {
-	varSet := map[string]bool{}
-	ids := make([]int, len(atoms))
-	for i, a := range atoms {
-		ids[i] = a.ID
-		for _, v := range a.Vars {
-			varSet[v] = true
-		}
-	}
-	vars := make([]string, 0, len(varSet))
-	for v := range varSet {
-		vars = append(vars, v)
-	}
-	root := &hypertree.Node{Chi: sortStrings(vars), Lambda: ids}
-	return hypertree.Finish(root, atoms)
-}
-
-func sortStrings(vs []string) []string {
-	out := append([]string(nil), vs...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}

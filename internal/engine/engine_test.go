@@ -207,30 +207,6 @@ func TestFindRulesLimit(t *testing.T) {
 	}
 }
 
-// All three ablations must preserve results exactly.
-func TestAblationsPreserveResults(t *testing.T) {
-	db := db1(t)
-	mq := core.MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
-	th := core.AllAbove(rat.New(1, 3), rat.New(1, 3), rat.New(1, 3))
-	base, _, err := FindRules(db, mq, Options{Type: core.Type1, Thresholds: th})
-	if err != nil {
-		t.Fatal(err)
-	}
-	variants := []Options{
-		{Type: core.Type1, Thresholds: th, DisableSupportPruning: true},
-		{Type: core.Type1, Thresholds: th, DisableFullReducer: true},
-		{Type: core.Type1, Thresholds: th, FlatDecomposition: true},
-		{Type: core.Type1, Thresholds: th, DisableSupportPruning: true, DisableFullReducer: true, FlatDecomposition: true},
-	}
-	for i, opt := range variants {
-		got, _, err := FindRules(db, mq, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameAnswers(t, got, base, []string{"no-pruning", "no-reducer", "flat", "all-off"}[i])
-	}
-}
-
 // Differential property test: random databases, random metaqueries, random
 // thresholds, all types — engine must equal naive.
 func TestQuickFindRulesMatchesNaive(t *testing.T) {

@@ -38,9 +38,6 @@ type ExplainNode struct {
 type Explain struct {
 	// Nodes follows the visit order of the explained run.
 	Nodes []ExplainNode
-	// CostPlanner reports whether the cost-based planner (cardinality
-	// statistics) was active for the run.
-	CostPlanner bool
 	// Stats are the explained run's search counters.
 	Stats *Stats
 
@@ -66,8 +63,7 @@ func (e *Explain) observe(nodeID, rows int) {
 // String renders the report as an aligned text table.
 func (e *Explain) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan: %d node(s), cost planner %s\n", len(e.Nodes),
-		map[bool]string{true: "on", false: "off"}[e.CostPlanner])
+	fmt.Fprintf(&b, "plan: %d node(s)\n", len(e.Nodes))
 	fmt.Fprintf(&b, "%-5s %-24s %-28s %12s %8s %22s\n",
 		"node", "chi", "lambda", "est_rows", "visits", "actual min/avg/max")
 	for _, n := range e.Nodes {
@@ -117,10 +113,7 @@ func (p *Prepared) ExplainRun(ctx context.Context) (*Explain, []core.Answer, err
 
 // newExplain seeds the report skeleton for the run's visit order.
 func (p *Prepared) newExplain(r *run) *Explain {
-	ex := &Explain{
-		CostPlanner: r.ep.snap.st != nil && !r.opt.DisableCostPlanner,
-		pos:         make(map[int]int, len(r.order)),
-	}
+	ex := &Explain{pos: make(map[int]int, len(r.order))}
 	for i, n := range r.order {
 		schemes := make([]string, 0, len(p.nodeSchemes[n.ID]))
 		for _, id := range p.nodeSchemes[n.ID] {

@@ -78,18 +78,16 @@ func (r *run) supportExceeds(sigma *core.Instantiation, s map[int]*relation.Tabl
 // table with no per-body copy, which is what keeps single-atom-body
 // decisions O(probes) instead of O(|relation|).
 //
-// The join order is cost-based when the engine carries statistics: the
-// reduced tables' actual cardinalities combine with the atoms' estimated
+// With three or more atoms the join order is cost-based: the reduced
+// tables' actual cardinalities combine with the atoms' estimated
 // per-column distinct counts (clamped to the reduced sizes by the order
 // search) in stats.Order, so skewed instantiations join low-fanout tables
-// first. DisableCostPlanner (and engines without statistics) fall back to
-// the size-sorted greedy order, which sees cardinalities but not value
-// distributions.
+// first. Shorter bodies take the size-sorted greedy join.
 // The returned owned flag reports whether the result is a run-owned
 // intermediate the caller must hand back through r.sc.Release when done —
 // false exactly when the join degenerated to a shared cached table.
 func (r *run) bodyJoin(sigma *core.Instantiation, s map[int]*relation.Table) (*relation.Table, bool, error) {
-	costBased := r.ep.snap.st != nil && !r.opt.DisableCostPlanner && len(r.p.schemes) > 2
+	costBased := len(r.p.schemes) > 2
 	tables := r.bjTables[:0]
 	owns := r.bjOwn[:0]
 	atoms := r.bjAtoms[:0]
@@ -109,17 +107,15 @@ func (r *run) bodyJoin(sigma *core.Instantiation, s map[int]*relation.Table) (*r
 			return nil, false, err
 		}
 		own := false
-		if !r.opt.DisableFullReducer {
-			node := r.p.decomp.CoverNode[id]
-			// A childless cover node joining exactly this atom stores
-			// π_χ(ta): semijoining ta against its own projection keeps every
-			// row, so the copy is skipped and ta stays the shared cached
-			// table. Single-atom bodies — the decision-probe steady state —
-			// take this path on every body candidate.
-			if len(node.Children) > 0 || len(r.p.nodeSchemes[node.ID]) > 1 {
-				ta = ta.SemijoinS(s[node.ID], r.sc)
-				own = true
-			}
+		node := r.p.decomp.CoverNode[id]
+		// A childless cover node joining exactly this atom stores π_χ(ta):
+		// semijoining ta against its own projection keeps every row, so the
+		// copy is skipped and ta stays the shared cached table. Single-atom
+		// bodies — the decision-probe steady state — take this path on every
+		// body candidate.
+		if len(node.Children) > 0 || len(r.p.nodeSchemes[node.ID]) > 1 {
+			ta = ta.SemijoinS(s[node.ID], r.sc)
+			own = true
 		}
 		tables = append(tables, ta)
 		owns = append(owns, own)
@@ -142,11 +138,6 @@ func (r *run) bodyJoin(sigma *core.Instantiation, s map[int]*relation.Table) (*r
 		// Size-aware greedy ordering, shared with JoinAtoms and the JoinPlan
 		// skew fallback.
 		b = relation.JoinTablesGreedy(tables)
-	}
-	if r.opt.DisableFullReducer {
-		// Inputs are shared cached atom tables; with a single input the join
-		// returns the input itself, which the caller must not release.
-		return b, len(tables) > 1, nil
 	}
 	// Semijoined inputs are run-owned and recycled now; inputs whose reducer
 	// pass was skipped stay shared. The returned flag follows b: a fresh
@@ -187,7 +178,7 @@ func (r *run) findHeads(bd *body) error {
 	sigma, s := bd.sigma, bd.s
 	th := r.opt.Thresholds
 
-	if th.CheckSup && !r.opt.DisableSupportPruning {
+	if th.CheckSup {
 		ok, err := r.supportExceeds(sigma, s, th.Sup)
 		if err != nil {
 			return err

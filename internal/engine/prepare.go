@@ -75,8 +75,8 @@ type prepEpoch struct {
 	// candOrder maps scheme IDs to their candidate atoms re-sorted by
 	// estimated materialization size ascending (most selective first), so
 	// every execution enumerates the candidates cheapest-to-check first.
-	// Computed lazily once from the snapshot statistics; nil entries (and a
-	// nil map) fall back to the candidate index order.
+	// Computed lazily once from the snapshot statistics; schemes without an
+	// entry fall back to the candidate index order.
 	candOrderOnce sync.Once
 	candOrder     map[int][]relation.Atom
 
@@ -125,11 +125,7 @@ func (e *Engine) Prepare(mq *core.Metaquery, opt Options) (*Prepared, error) {
 	for i, s := range p.schemes {
 		atoms[i] = hypertree.AtomSchema{ID: i, Vars: s.vars}
 	}
-	if opt.FlatDecomposition {
-		p.decomp = flatDecomposition(atoms)
-	} else {
-		p.decomp = hypertree.Decompose(atoms)
-	}
+	p.decomp = hypertree.Decompose(atoms)
 	if err := hypertree.Validate(atoms, p.decomp); err != nil {
 		return nil, fmt.Errorf("engine: decomposition invalid: %w", err)
 	}
@@ -269,10 +265,6 @@ func (ep *prepEpoch) storeJoin(key []byte, t *relation.Table) *relation.Table {
 // executions on the epoch.
 func (p *Prepared) orderedCandidates(ep *prepEpoch) map[int][]relation.Atom {
 	ep.candOrderOnce.Do(func() {
-		st := ep.snap.st
-		if st == nil {
-			return
-		}
 		m := make(map[int][]relation.Atom, len(p.schemes))
 		for id, bs := range p.schemes {
 			if !bs.scheme.PredVar {

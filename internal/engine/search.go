@@ -217,18 +217,16 @@ func (r *run) instantiateNode(node *hypertree.Node, schemeIDs []int, j int, sigm
 // candidatesFor resolves the candidate atoms the search enumerates for one
 // scheme: a parallel-worker restriction wins outright; otherwise the
 // selectivity-ordered list (estimated-smallest candidate first, from the
-// engine statistics) when the cost planner is active, falling back to the
-// raw candidate index order.
+// engine statistics) when the scheme has one, falling back to the raw
+// candidate index order.
 func (r *run) candidatesFor(schemeID int, bs bodyScheme) []relation.Atom {
 	if r.restrict != nil {
 		if c, ok := r.restrict[schemeID]; ok {
 			return c
 		}
 	}
-	if !r.opt.DisableCostPlanner {
-		if c, ok := r.p.orderedCandidates(r.ep)[schemeID]; ok {
-			return c
-		}
+	if c, ok := r.p.orderedCandidates(r.ep)[schemeID]; ok {
+		return c
 	}
 	return r.ep.snap.cands.Candidates(bs.scheme, r.opt.Type, bs.patternIdx)
 }
@@ -246,14 +244,12 @@ func (r *run) evalNode(node *hypertree.Node, schemeIDs []int, sigma *core.Instan
 	// The cached node join is shared across executions; every semijoin below
 	// produces a run-owned intermediate, recycled once the subtree returns.
 	owned := false
-	if !r.opt.DisableFullReducer {
-		for _, c := range node.Children {
-			nt := tab.SemijoinS(r.rTables[c.ID], r.sc)
-			if owned {
-				r.sc.Release(tab)
-			}
-			tab, owned = nt, true
+	for _, c := range node.Children {
+		nt := tab.SemijoinS(r.rTables[c.ID], r.sc)
+		if owned {
+			r.sc.Release(tab)
 		}
+		tab, owned = nt, true
 	}
 	if tab.Empty() && r.anyThresholdChecked() {
 		if owned {
@@ -319,7 +315,7 @@ func (r *run) nodeJoin(node *hypertree.Node, schemeIDs []int, sigma *core.Instan
 		}
 		joinStart = time.Now()
 	}
-	j, err := r.ep.snap.ev.JoinOrdered(atoms, !r.opt.DisableCostPlanner)
+	j, err := r.ep.snap.ev.Join(atoms)
 	if err != nil {
 		r.tr.End(span, obs.A("error", err.Error()))
 		return nil, err
@@ -402,7 +398,7 @@ func (r *run) yieldBody(sigma *core.Instantiation) error {
 	for i := len(r.order) - 1; i >= 0; i-- {
 		n := r.order[i]
 		t := r.rTables[n.ID]
-		if !r.opt.DisableFullReducer && n.Parent != nil {
+		if n.Parent != nil {
 			t = t.SemijoinS(s[n.Parent.ID], r.sc)
 			owned = append(owned, t)
 		}

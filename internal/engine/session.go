@@ -30,9 +30,13 @@ type snapshot struct {
 // snapshot carries. Apply constructs all four together, so a mismatch here
 // is a bug in the delta machinery — better a panic at the publication point
 // than searches silently mixing stats from one epoch with tables from
-// another.
+// another. Statistics are required: the planner, the candidate order and
+// the sampler budgets all price atoms from them.
 func newSnapshot(epoch uint64, db *relation.Database, cands *core.CandidateIndex, st *stats.Stats, ev *core.Evaluator) *snapshot {
-	if cands.Database() != db || (st != nil && st.Database() != db) || ev.Database() != db {
+	if st == nil {
+		panic("engine: snapshot without statistics")
+	}
+	if cands.Database() != db || st.Database() != db || ev.Database() != db {
 		panic("engine: snapshot components disagree on the database version")
 	}
 	s := &snapshot{epoch: epoch, db: db, cands: cands, st: st, ev: ev}

@@ -144,13 +144,6 @@ func decomposeAcyclic(atoms []AtomSchema) (*Decomposition, bool) {
 	return finish(root, atoms), true
 }
 
-// Finish turns a hand-built node tree into a complete Decomposition: it
-// numbers nodes, computes the width and cover nodes, and attaches leaf
-// nodes for any atom not yet covered-with-membership (completeness,
-// Definition 4.7 last paragraph). Callers constructing custom
-// decompositions (tests, ablations) use it; Decompose calls it internally.
-func Finish(root *Node, atoms []AtomSchema) *Decomposition { return finish(root, atoms) }
-
 // finish numbers nodes, computes width and cover nodes, and attaches
 // leaf nodes for any atom not yet covered-with-membership (completeness,
 // Definition 4.7 last paragraph).

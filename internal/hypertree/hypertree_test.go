@@ -217,18 +217,18 @@ func TestWidthAndString(t *testing.T) {
 	}
 }
 
-// TestFinishHandBuilt drives the exported Finish on a hand-built tree that
-// covers only the first atom; Finish must attach a leaf for the second and
-// the result must validate.
+// TestFinishHandBuilt drives finish on a hand-built tree that covers only
+// the first atom; finish must attach a leaf for the second and the result
+// must validate.
 func TestFinishHandBuilt(t *testing.T) {
 	atoms := schemas([]string{"X", "Y"}, []string{"X", "Y"})
 	root := &Node{Chi: []string{"X", "Y"}, Lambda: []int{0}}
-	d := Finish(root, atoms)
+	d := finish(root, atoms)
 	if err := Validate(atoms, d); err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Nodes()) < 2 {
-		t.Fatalf("Finish attached no leaf for the uncovered atom: %v", d.Nodes())
+		t.Fatalf("finish attached no leaf for the uncovered atom: %v", d.Nodes())
 	}
 	if d.Width != 1 {
 		t.Errorf("hand-built width = %d", d.Width)

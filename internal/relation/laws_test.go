@@ -72,37 +72,6 @@ func TestLawProjectIdempotent(t *testing.T) {
 	}
 }
 
-// Law: semijoin and antisemijoin partition t: they are disjoint and their
-// union is t, for shared-column and disjoint-column operands alike.
-func TestLawSemiAntiPartition(t *testing.T) {
-	f := func(seed uint16) bool {
-		r := rand.New(rand.NewSource(int64(seed)))
-		a := lawTable(r, []string{"X", "Y"}, 3, 15)
-		for _, u := range []*Table{
-			lawTable(r, []string{"Y", "Z"}, 3, 15), // shared column Y
-			lawTable(r, []string{"W"}, 3, 3),       // no shared columns
-			NewTable([]string{"Y"}),                // empty, shared column
-		} {
-			semi, anti := a.Semijoin(u), a.AntiSemijoin(u)
-			if semi.Len()+anti.Len() != a.Len() {
-				return false
-			}
-			if !semi.Union(anti).EqualSet(a) {
-				return false
-			}
-			for _, tup := range semi.Tuples() {
-				if anti.Contains(tup) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // FromAtom with a repeated variable acts as an equality selection, and a
 // constant term as a constant selection (Datalog semantics).
 func TestLawFromAtomRepeatedVarsAndConstants(t *testing.T) {

@@ -248,7 +248,7 @@ func hashJoin(left, right *Table, leftPos, rightPos, rightExtra []int, outVars [
 // columns appears in u. With no shared columns, the result is t itself if u
 // is non-empty and the empty table otherwise (cartesian semantics).
 func (t *Table) Semijoin(u *Table) *Table {
-	return t.semi(u, true, nil)
+	return t.SemijoinS(u, nil)
 }
 
 // SemijoinS is Semijoin drawing every transient buffer — shared-column
@@ -256,19 +256,47 @@ func (t *Table) Semijoin(u *Table) *Table {
 // storage — from sc (see Scratch); nil sc allocates as Semijoin does. The
 // result is owned by the caller and may be handed back through sc.Release
 // once it is no longer referenced.
+//
+// The kernel picks its direction with semiScanBetter: the classic
+// direction (index u, probe t) by default, the matchedScan direction
+// (index t, scan u) when u dwarfs t.
 func (t *Table) SemijoinS(u *Table, sc *Scratch) *Table {
 	if sc != nil {
 		sc.ops.Semijoins++
 	}
-	return t.semi(u, true, sc)
-}
-
-// AntiSemijoin returns t ▷ u: the tuples of t whose projection on the
-// shared columns does NOT appear in u. With no shared columns, the result
-// is t itself if u is empty and the empty table otherwise (the complement
-// of Semijoin's cartesian semantics). Used by the negation extension.
-func (t *Table) AntiSemijoin(u *Table) *Table {
-	return t.semi(u, false, nil)
+	tPos, uPos := sharedPosS(t, u, sc)
+	if len(tPos) == 0 {
+		out := sc.outTable(t.vars, 0)
+		if u.nrows > 0 {
+			out.cloneFrom(&t.colStore)
+		}
+		return out
+	}
+	out := sc.outTable(t.vars, t.nrows)
+	if semiScanBetter(t.nrows, u.nrows) {
+		for r, m := range t.matchedScan(u, tPos, uPos, sc) {
+			if m {
+				out.addUnique(t.row(r))
+			}
+		}
+		return out
+	}
+	idx := buildChainIndexS(&u.colStore, uPos, sc)
+	hbuf := sc.hashBuf()
+	for lo := 0; lo < t.nrows; lo += probeBlock {
+		hi := min(lo+probeBlock, t.nrows)
+		hashBlockAt(&t.colStore, tPos, lo, hi, hbuf)
+		for r := lo; r < hi; r++ {
+			row := t.row(r)
+			for s := idx.first(hbuf[r-lo]); s != 0; s = idx.next[s-1] {
+				if equalAt(row, tPos, u.row(int(s-1)), uPos) {
+					out.addUnique(row)
+					break
+				}
+			}
+		}
+	}
+	return out
 }
 
 // SemijoinCount returns |t ⋉ u| without materializing the semijoin: the
@@ -360,50 +388,6 @@ func (t *Table) matchedScan(u *Table, tPos, uPos []int, sc *Scratch) []bool {
 		}
 	}
 	return matched
-}
-
-// semi implements Semijoin (keep=true) and AntiSemijoin (keep=false) as one
-// chain-index kernel, picking the direction with semiScanBetter: the
-// classic direction (index u, probe t) by default, the matchedScan
-// direction (index t, scan u) when u dwarfs t.
-func (t *Table) semi(u *Table, keep bool, sc *Scratch) *Table {
-	tPos, uPos := sharedPosS(t, u, sc)
-	if len(tPos) == 0 {
-		out := sc.outTable(t.vars, 0)
-		if (u.nrows > 0) == keep {
-			out.cloneFrom(&t.colStore)
-		}
-		return out
-	}
-	out := sc.outTable(t.vars, t.nrows)
-	if semiScanBetter(t.nrows, u.nrows) {
-		for r, m := range t.matchedScan(u, tPos, uPos, sc) {
-			if m == keep {
-				out.addUnique(t.row(r))
-			}
-		}
-		return out
-	}
-	idx := buildChainIndexS(&u.colStore, uPos, sc)
-	hbuf := sc.hashBuf()
-	for lo := 0; lo < t.nrows; lo += probeBlock {
-		hi := min(lo+probeBlock, t.nrows)
-		hashBlockAt(&t.colStore, tPos, lo, hi, hbuf)
-		for r := lo; r < hi; r++ {
-			row := t.row(r)
-			found := false
-			for s := idx.first(hbuf[r-lo]); s != 0; s = idx.next[s-1] {
-				if equalAt(row, tPos, u.row(int(s-1)), uPos) {
-					found = true
-					break
-				}
-			}
-			if found == keep {
-				out.addUnique(row)
-			}
-		}
-	}
-	return out
 }
 
 // Union returns t ∪ u; the tables must have identical column lists.

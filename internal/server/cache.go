@@ -16,10 +16,10 @@ import (
 func prepKey(mq *core.Metaquery, opt engine.Options) string {
 	th := opt.Thresholds
 	a := opt.Approx
-	return fmt.Sprintf("%s|t%d|s%v:%s|c%v:%s|v%v:%s|l%d|w%d|g%v|a%g:%g:%d:%d",
+	return fmt.Sprintf("%s|t%d|s%v:%s|c%v:%s|v%v:%s|l%d|w%d|a%g:%g:%d:%d",
 		mq.CanonicalKey(), opt.Type,
 		th.CheckSup, th.Sup, th.CheckCnf, th.Cnf, th.CheckCvr, th.Cvr,
-		opt.Limit, opt.Workers, opt.DisableCostPlanner,
+		opt.Limit, opt.Workers,
 		a.Epsilon, a.Delta, a.MaxSamples, a.Seed)
 }
 
