@@ -219,7 +219,10 @@ type decider struct {
 }
 
 // onBody checks one complete body instantiation for a witness and unwinds
-// the search with errFound as soon as it finds one.
+// the search with errFound as soon as it finds one. Support reads the
+// reduced node tables directly (no projection copy, no body join); cnf and
+// cvr take both head-dependent counts from one counting pass per head,
+// never materializing h' = h ⋉ b.
 func (d *decider) onBody(b *body) error {
 	r := d.run
 	switch d.ix {
@@ -245,41 +248,23 @@ func (d *decider) onBody(b *body) error {
 		r.stats.HeadsSkipped++
 		d.witness = wit
 		return errFound
-	case core.Cnf:
-		return d.headSearch(b, func(bj, h *relation.Table) rat.Rat {
-			// cnf = |b ⋉ h| / |b|; b ⋉ (h ⋉ b) = b ⋉ h, so the head table
-			// itself suffices and h' is never materialized.
-			if bj.Empty() {
-				return rat.Zero
-			}
-			num := bj.SemijoinCountS(h, r.sc)
-			if num == 0 {
-				return rat.Zero
-			}
-			return rat.New(int64(num), int64(bj.Len()))
-		})
-	default: // core.Cvr
-		return d.headSearch(b, func(bj, h *relation.Table) rat.Rat {
-			hPrime := h.SemijoinS(bj, r.sc)
-			n := hPrime.Len()
-			r.sc.Release(hPrime)
-			if n == 0 {
-				return rat.Zero
-			}
-			return rat.New(int64(n), int64(h.Len()))
-		})
+	default: // core.Cnf, core.Cvr
+		return d.headSearch(b)
 	}
 }
 
 // headSearch materializes the body join once and walks the head candidates
-// agreeing with the body, evaluating only the queried index and stopping
-// at the first candidate exceeding k.
-func (d *decider) headSearch(b *body, value func(bj, h *relation.Table) rat.Rat) error {
+// agreeing with the body, stopping at the first candidate whose queried
+// index exceeds k. Both head-dependent indices come from one
+// KeyCounts.PairCounts pass, which indexes the body at most once for all
+// its heads.
+func (d *decider) headSearch(b *body) error {
 	r := d.run
 	bj, bjOwned, err := r.bodyJoin(b.sigma, b.s)
 	if err != nil {
 		return err
 	}
+	r.headIdx.Reset(r.sc)
 	for _, ha := range r.ep.snap.cands.Candidates(r.p.mq.Head, r.opt.Type, r.p.headPatternIdx) {
 		if err := r.ctx.Err(); err != nil {
 			return err
@@ -292,7 +277,12 @@ func (d *decider) headSearch(b *body, value func(bj, h *relation.Table) rat.Rat)
 		if err != nil {
 			return err
 		}
-		if !value(bj, h).Greater(d.k) {
+		hb, bh := r.headIdx.PairCounts(h, bj, r.sc)
+		v := fraction(bh, bj.Len()) // cnf = |b ⋉ h| / |b|
+		if d.ix == core.Cvr {
+			v = fraction(hb, h.Len()) // cvr = |h ⋉ b| / |h|
+		}
+		if !v.Greater(d.k) {
 			continue
 		}
 		full := b.sigma.Clone()

@@ -200,11 +200,18 @@ func (d *approxDecider) supBody(b *body) error {
 				budget = approxMinFractionBudget
 			}
 		}
-		bs := r.p.schemes[ids[i]]
+		// As in forEachBodyFraction: the node table is probed directly (a
+		// semijoin reads only the shared columns), and a sole-atom
+		// decomposition's fraction is exactly 1.
 		node := r.p.decomp.CoverNode[ids[i]]
-		reduced := b.s[node.ID].ProjectS(bs.vars, r.sc)
-		exceeds, err := d.fractionExceeds(ra, reduced, budget)
-		r.sc.Release(reduced)
+		if r.p.soleAtomNode(node, ids[i]) {
+			if rat.One.Greater(d.k) {
+				exceeded = true
+				break
+			}
+			continue
+		}
+		exceeds, err := d.fractionExceeds(ra, b.s[node.ID], budget)
 		if err != nil {
 			return err
 		}

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"github.com/mqgo/metaquery/internal/core"
+	"github.com/mqgo/metaquery/internal/obs"
 	"github.com/mqgo/metaquery/internal/rat"
 	"github.com/mqgo/metaquery/internal/relation"
 )
@@ -185,5 +188,141 @@ func TestFindRulesNearOneThreshold(t *testing.T) {
 	}
 	if !foundPerfect {
 		t.Error("perfect-confidence rule missing")
+	}
+}
+
+// TestHeadCountsEdgeCases checks the one-pass head counting (cvr and cnf
+// from KeyCounts.PairCounts, with the body index reused across a body's
+// heads) against the naive engine on the shapes where the choice of
+// indexed side matters: FindRules must reproduce every answer and its
+// indices, and DecideFirst on cnf and cvr must reproduce the naive verdict
+// at every index value that occurs (the boundary where verdicts flip).
+func TestHeadCountsEdgeCases(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mq   string
+		typ  core.InstType
+		fill func(db *relation.Database)
+		// perBodyBuild asserts one body-index build per body visited: the
+		// heads are column permutations of one relation, all smaller than
+		// the body, so they share one index keyed in the body's order.
+		perBodyBuild bool
+	}{
+		{
+			name: "type-1 head permutations share one body index",
+			mq:   "R(X,Z) <- P(X,Y,Z)",
+			typ:  core.Type1,
+			fill: func(db *relation.Database) {
+				for i := 0; i < 12; i++ {
+					db.MustInsertNamed("t", fmt.Sprint("a", i%3), fmt.Sprint("b", i%4), fmt.Sprint("a", i%5))
+				}
+				for _, tup := range [][]string{{"a0", "a0"}, {"a1", "a3"}, {"a2", "a1"}} {
+					db.MustInsertNamed("r", tup...)
+				}
+			},
+			perBodyBuild: true,
+		},
+		{
+			name: "type-2 head padded outside the body repeats keys",
+			mq:   "R(X) <- P(X,Y)",
+			typ:  core.Type2,
+			fill: func(db *relation.Database) {
+				for i := 0; i < 9; i++ {
+					db.MustInsertNamed("p", fmt.Sprint("c", i%4), fmt.Sprint("d", i))
+				}
+				for i := 0; i < 6; i++ {
+					db.MustInsertNamed("s", fmt.Sprint("c", i%2), fmt.Sprint("e", i), fmt.Sprint("f", i%3))
+				}
+			},
+		},
+		{
+			name: "head sharing no variable with the body",
+			mq:   "R(U,W) <- P(X,Y)",
+			typ:  core.Type0,
+			fill: func(db *relation.Database) {
+				db.MustInsertNamed("p", "a", "b")
+				db.MustInsertNamed("p", "b", "c")
+				db.MustInsertNamed("q", "x", "y")
+			},
+		},
+		{
+			name: "body join smaller than every head",
+			mq:   "R(X,Z) <- P(X,Y), Q(Y,Z)",
+			typ:  core.Type1,
+			fill: func(db *relation.Database) {
+				db.MustInsertNamed("p", "a", "b")
+				db.MustInsertNamed("q", "b", "c")
+				for i := 0; i < 8; i++ {
+					db.MustInsertNamed("h", fmt.Sprint("a", i%2), fmt.Sprint("c", i%3))
+					db.MustInsertNamed("h", fmt.Sprint("c", i%3), fmt.Sprint("a", i))
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := relation.NewDatabase()
+			tc.fill(db)
+			mq := core.MustParse(tc.mq)
+			want, err := core.NaiveAnswers(db, mq, tc.typ, core.Thresholds{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.NewTracer()
+			prep, err := NewEngine(db).Prepare(mq, Options{Type: tc.typ, Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := prep.FindRulesStats(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameAnswers(t, got, want, tc.name)
+
+			for _, ix := range []core.Index{core.Cnf, core.Cvr} {
+				value := func(a core.Answer) rat.Rat {
+					if ix == core.Cnf {
+						return a.Cnf
+					}
+					return a.Cvr
+				}
+				ks := map[rat.Rat]bool{rat.Zero: true}
+				for _, a := range want {
+					ks[value(a)] = true
+				}
+				for k := range ks {
+					wantYes := false
+					for _, a := range want {
+						wantYes = wantYes || value(a).Greater(k)
+					}
+					yes, wit, err := prep.DecideFirst(context.Background(), ix, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if yes != wantYes {
+						t.Fatalf("DecideFirst(%v > %v) = %v, naive says %v", ix, k, yes, wantYes)
+					}
+					if yes {
+						rule, err := wit.Apply(mq)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if v, err := ix.Compute(db, rule); err != nil || !v.Greater(k) {
+							t.Fatalf("DecideFirst(%v > %v) witness %s has %v (%v)", ix, k, rule, v, err)
+						}
+					}
+				}
+			}
+
+			if !tc.perBodyBuild {
+				return
+			}
+			roots := append(spansNamed(tr.Tree(), "findrules"), spansNamed(tr.Tree(), "decide")...)
+			for _, root := range roots {
+				if root.Attrs["bodies"] == "0" || root.Attrs["key_indexes"] != root.Attrs["bodies"] {
+					t.Fatalf("%s root: %s key-count index builds for %s bodies, want one per body",
+						root.Name, root.Attrs["key_indexes"], root.Attrs["bodies"])
+				}
+			}
+		})
 	}
 }

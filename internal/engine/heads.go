@@ -2,6 +2,7 @@ package engine
 
 import (
 	"github.com/mqgo/metaquery/internal/core"
+	"github.com/mqgo/metaquery/internal/hypertree"
 	"github.com/mqgo/metaquery/internal/rat"
 	"github.com/mqgo/metaquery/internal/relation"
 	"github.com/mqgo/metaquery/internal/stats"
@@ -16,6 +17,11 @@ import (
 // true to stop the iteration early. It is the single loop behind the exact
 // support computation, the enoughSupport pruning check, and the
 // first-witness support decision.
+//
+// The node table s[p] is read directly, without the projection: a
+// semijoin looks only at the shared columns, which are exactly a's
+// variables (the cover node has them all in χ(p)), so r_a ⋉ s[p] has the
+// same count as r_a ⋉ π_varo(a)(s[p]).
 func (r *run) forEachBodyFraction(sigma *core.Instantiation, s map[int]*relation.Table, f func(rat.Rat) bool) error {
 	for id, bs := range r.p.schemes {
 		atom, err := r.instAtom(bs.scheme, sigma)
@@ -29,10 +35,10 @@ func (r *run) forEachBodyFraction(sigma *core.Instantiation, s map[int]*relation
 		if ra.Len() == 0 {
 			continue
 		}
-		node := r.p.decomp.CoverNode[id]
-		reduced := s[node.ID].ProjectS(bs.vars, r.sc)
-		num := ra.SemijoinCountS(reduced, r.sc)
-		r.sc.Release(reduced)
+		num := ra.Len()
+		if node := r.p.decomp.CoverNode[id]; !r.p.soleAtomNode(node, id) {
+			num = ra.SemijoinCountS(s[node.ID], r.sc)
+		}
 		if num == 0 {
 			continue
 		}
@@ -41,6 +47,15 @@ func (r *run) forEachBodyFraction(sigma *core.Instantiation, s map[int]*relation
 		}
 	}
 	return nil
+}
+
+// soleAtomNode reports whether node is the whole decomposition and joins
+// scheme id alone: no parent, no children, λ = {id}. Its reduced table is
+// then the unreduced π_χ(r_a) of that scheme's atom a, so a's support
+// fraction is exactly 1 (when r_a is non-empty) and needs no count.
+func (p *Prepared) soleAtomNode(node *hypertree.Node, id int) bool {
+	l := p.nodeSchemes[node.ID]
+	return node.Parent == nil && len(node.Children) == 0 && len(l) == 1 && l[0] == id
 }
 
 // computeSupport evaluates sup(σ(body)) exactly from the reduced node
@@ -71,12 +86,7 @@ func (r *run) supportExceeds(sigma *core.Instantiation, s map[int]*relation.Tabl
 // bodyJoin materializes b = J(σ(body)) over att(body), including type-2
 // padding variables (they contribute to the confidence denominator).
 // Atom tables are semijoin-reduced against their cover nodes first, which
-// is what makes the final join cheap after the full-reducer passes. The
-// reduction is elided when it is provably the identity (the atom's cover
-// node is a childless node joining that atom alone, so the node table is
-// the atom's own projection): that case returns the shared cached atom
-// table with no per-body copy, which is what keeps single-atom-body
-// decisions O(probes) instead of O(|relation|).
+// is what makes the final join cheap after the full-reducer passes.
 //
 // With three or more atoms the join order is cost-based: the reduced
 // tables' actual cardinalities combine with the atoms' estimated
@@ -108,11 +118,16 @@ func (r *run) bodyJoin(sigma *core.Instantiation, s map[int]*relation.Table) (*r
 		}
 		own := false
 		node := r.p.decomp.CoverNode[id]
-		// A childless cover node joining exactly this atom stores π_χ(ta):
-		// semijoining ta against its own projection keeps every row, so the
-		// copy is skipped and ta stays the shared cached table. Single-atom
-		// bodies — the decision-probe steady state — take this path on every
-		// body candidate.
+		// Semijoin reduction never changes the join: s[p] contains the
+		// projection of the full body join onto χ(p), so every row the
+		// semijoin would drop joins with nothing. Skipping it is therefore
+		// always sound, and it is skipped where it rarely pays: a childless
+		// cover node with a single λ atom, whose table is one atom's
+		// projection reduced only by its parent. ta then stays the shared
+		// cached table with no per-body copy — the single-atom-body decision
+		// steady state. The support elision (soleAtomNode) needs the
+		// stronger no-parent condition, because there the count itself is
+		// the result.
 		if len(node.Children) > 0 || len(r.p.nodeSchemes[node.ID]) > 1 {
 			ta = ta.SemijoinS(s[node.ID], r.sc)
 			own = true
@@ -153,6 +168,15 @@ func (r *run) bodyJoin(sigma *core.Instantiation, s map[int]*relation.Table) (*r
 	return b, bOwned, nil
 }
 
+// fraction returns num/den, or zero when num is zero (den may then be
+// zero too).
+func fraction(num, den int) rat.Rat {
+	if num == 0 {
+		return rat.Zero
+	}
+	return rat.New(int64(num), int64(den))
+}
+
 // headAgrees reports whether head candidate ha agrees with σb in the sense
 // of Definition 4.13: same pattern -> same atom, same predicate variable ->
 // same relation. Ordinary-atom heads always agree.
@@ -172,8 +196,12 @@ func (r *run) headAgrees(sigma *core.Instantiation, ha relation.Atom) bool {
 
 // findHeads is Figure 4's findHeads: with the body σb fixed and reduced,
 // check support, materialize b = J(σb(body)), and search head
-// instantiations agreeing with σb, filtering on cover and confidence. It
-// is the enumeration consumer of the body-search iterator (search.go).
+// instantiations agreeing with σb, filtering on cover and confidence. Both
+// head-dependent indices of a candidate come from one counting pass
+// (KeyCounts.PairCounts, using b ⋉ (h ⋉ b) = b ⋉ h), so the figure's
+// h' = h ⋉ b is never materialized, and b is indexed at most once for all
+// its heads. It is the enumeration consumer of the body-search iterator
+// (search.go).
 func (r *run) findHeads(bd *body) error {
 	sigma, s := bd.sigma, bd.s
 	th := r.opt.Thresholds
@@ -201,6 +229,7 @@ func (r *run) findHeads(bd *body) error {
 	if err != nil {
 		return err
 	}
+	r.headIdx.Reset(r.sc)
 
 	head := r.p.mq.Head
 	for _, ha := range r.ep.snap.cands.Candidates(head, r.opt.Type, r.p.headPatternIdx) {
@@ -216,25 +245,12 @@ func (r *run) findHeads(bd *body) error {
 		if err != nil {
 			return err
 		}
-		// h' := h ⋉ b ; cvr = |h'| / |h|.
-		hPrime := h.SemijoinS(b, r.sc)
-		cvr := rat.Zero
-		if hPrime.Len() > 0 {
-			cvr = rat.New(int64(hPrime.Len()), int64(h.Len()))
-		}
+		hb, bh := r.headIdx.PairCounts(h, b, r.sc)
+		cvr := fraction(hb, h.Len())
 		if th.CheckCvr && !cvr.Greater(th.Cvr) {
-			r.sc.Release(hPrime)
 			continue
 		}
-		// cnf = |b ⋉ h'| / |b|.
-		cnf := rat.Zero
-		if b.Len() > 0 {
-			num := b.SemijoinCountS(hPrime, r.sc)
-			if num > 0 {
-				cnf = rat.New(int64(num), int64(b.Len()))
-			}
-		}
-		r.sc.Release(hPrime)
+		cnf := fraction(bh, b.Len())
 		if th.CheckCnf && !cnf.Greater(th.Cnf) {
 			continue
 		}

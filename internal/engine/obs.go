@@ -110,6 +110,7 @@ func (r *run) endRoot() {
 		obs.AInt("answers", r.stats.Answers),
 		obs.AInt("semijoins", int(ops.Semijoins)),
 		obs.AInt("semijoin_counts", int(ops.SemijoinCounts)),
+		obs.AInt("key_indexes", int(ops.KeyIndexes)),
 		obs.AInt("projections", int(ops.Projections)))
 	r.rootSpan = -1
 }

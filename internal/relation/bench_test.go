@@ -115,3 +115,83 @@ func BenchmarkProject(b *testing.B) {
 		j.Project([]string{"X"})
 	}
 }
+
+// headCountShape builds one body table over bodyVars and heads head tables
+// over headVars for BenchmarkHeadCounts. Body rows carry a value from the
+// dom-value head domain in the shared column on one row in five and a
+// unique value otherwise; every head holds headRows rows drawn from the
+// same domain.
+func headCountShape(bodyVars []string, bodyRows int, headVars []string, heads, headRows, dom int) (*Table, []*Table) {
+	rng := rand.New(rand.NewSource(11))
+	body := NewTable(bodyVars)
+	row := make(Tuple, len(bodyVars))
+	for body.Len() < bodyRows {
+		for c := range row {
+			row[c] = Value(dom + rng.Intn(1<<20))
+			if rng.Intn(5) == 0 {
+				row[c] = Value(rng.Intn(dom))
+			}
+		}
+		body.Add(row)
+	}
+	var hs []*Table
+	for i := 0; i < heads; i++ {
+		h := NewTable(headVars)
+		hrow := make(Tuple, len(headVars))
+		for h.Len() < headRows {
+			for c := range hrow {
+				hrow[c] = Value(rng.Intn(dom))
+			}
+			h.Add(hrow)
+		}
+		hs = append(hs, h)
+	}
+	return body, hs
+}
+
+// BenchmarkHeadCounts measures the head-counting kernels of findHeads at
+// the relation layer: per body, both |h ⋉ b| and |b ⋉ h| for every head.
+// two-kernel is the materializing pair (h' = h ⋉ b, then |b ⋉ h'|);
+// one-pass is KeyCounts.PairCounts, which indexes the body at most once for
+// all its heads. The shapes are a 25,000-row binary body against six
+// 97-row unary heads (big data, tiny heads) and a 60-row body against four
+// 300-row binary heads (small bodies, heads larger than the body).
+func BenchmarkHeadCounts(b *testing.B) {
+	bigBody, unaryHeads := headCountShape([]string{"X", "Y"}, 25_000, []string{"Y"}, 6, 97, 97)
+	smallBody, binaryHeads := headCountShape([]string{"X", "Y", "Z"}, 60, []string{"X", "Z"}, 4, 300, 40)
+	for _, c := range []struct {
+		name  string
+		body  *Table
+		heads []*Table
+	}{
+		{"body=25000/heads=6x97", bigBody, unaryHeads},
+		{"body=60/heads=4x300", smallBody, binaryHeads},
+	} {
+		b.Run(c.name+"/two-kernel", func(b *testing.B) {
+			sc := NewScratch()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, h := range c.heads {
+					hp := h.SemijoinS(c.body, sc)
+					benchSink += hp.Len() + c.body.SemijoinCountS(hp, sc)
+					sc.Release(hp)
+				}
+			}
+		})
+		b.Run(c.name+"/one-pass", func(b *testing.B) {
+			sc := NewScratch()
+			var ix KeyCounts
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ix.Reset(sc)
+				for _, h := range c.heads {
+					hb, bh := ix.PairCounts(h, c.body, sc)
+					benchSink += hb + bh
+				}
+			}
+		})
+	}
+}
+
+// benchSink keeps benchmarked results live.
+var benchSink int

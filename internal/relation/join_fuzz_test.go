@@ -9,7 +9,10 @@ import (
 // arities (0..4), arbitrary column overlap (including none — the cartesian
 // cases — and full), repeated values, and asymmetric sizes that flip the
 // build/probe sides. NaturalJoin, Semijoin and SemijoinCount must all agree
-// with the reference exactly.
+// with the reference exactly, and so must both counts of the one-pass
+// SemijoinCounts kernel and of a KeyCounts index built on either side (the
+// row-set path when all of the indexed side's columns are shared, the
+// key-count path otherwise).
 //
 // Run with: go test -fuzz=FuzzJoin ./internal/relation
 func FuzzJoin(f *testing.F) {
@@ -19,6 +22,12 @@ func FuzzJoin(f *testing.F) {
 	f.Add([]byte{3, 2, 2, 1, 2, 3, 4, 5, 6, 0xFF, 9, 9, 1, 2})
 	f.Add([]byte{0, 0, 0, 0xFF})
 	f.Add([]byte{4, 4, 4, 1, 1, 1, 1, 0xFF, 1, 1, 1, 1, 2, 2, 2, 2})
+	// No shared columns: [A,B] vs [C,D] (cartesian counts).
+	f.Add([]byte{2, 2, 2, 1, 2, 3, 0, 0xFF, 1, 1})
+	// Right's columns a strict subset of left's: [A,B,C] vs [B].
+	f.Add([]byte{3, 1, 1, 1, 2, 3, 1, 3, 3, 2, 2, 2, 0xFF, 2, 3})
+	// Duplicate keys on the scanned side: [A,B] rows repeat B against [B].
+	f.Add([]byte{2, 1, 1, 0, 1, 1, 1, 2, 1, 3, 2, 0xFF, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		left, right := decodeTablePair(data)
 		checkJoinAgainstReference(t, left, right)
@@ -93,6 +102,29 @@ func checkJoinAgainstReference(t *testing.T, a, b *Table) {
 	if got, want := a.SemijoinCount(b), wantSemi.Len(); got != want {
 		t.Fatalf("SemijoinCount = %d, reference semijoin has %d rows (a=%v b=%v)", got, want, a, b)
 	}
+	wantAB, wantBA := wantSemi.Len(), refSemijoin(b, a).Len()
+	sc := NewScratch()
+	for _, s := range []*Scratch{nil, sc, sc} {
+		if ab, ba := a.SemijoinCounts(b, s); ab != wantAB || ba != wantBA {
+			t.Fatalf("SemijoinCounts = (%d, %d), want (%d, %d) (a=%v b=%v)", ab, ba, wantAB, wantBA, a, b)
+		}
+	}
+	// An index built on a answers repeated passes against b (the pass
+	// stamps must not leak between them).
+	var ix KeyCounts
+	ix.build(a, b, sc)
+	if !ix.keyedFor(b) {
+		t.Fatalf("keyedFor(b) = false right after build(a, b) (a=%v b=%v)", a, b)
+	}
+	for pass := 0; pass < 2; pass++ {
+		if ab, ba := ix.count(b, sc); ab != wantAB || ba != wantBA {
+			t.Fatalf("KeyCounts pass %d = (%d, %d), want (%d, %d) (a=%v b=%v)", pass, ab, ba, wantAB, wantBA, a, b)
+		}
+	}
+	if ba, ab := ix.PairCounts(b, a, sc); ab != wantAB || ba != wantBA {
+		t.Fatalf("PairCounts = (%d, %d), want (%d, %d) (a=%v b=%v)", ba, ab, wantBA, wantAB, a, b)
+	}
+	ix.Reset(sc)
 }
 
 // refNaturalJoin is the O(n*m) nested-loop natural join: output columns are

@@ -27,6 +27,27 @@ func TestScratchOps(t *testing.T) {
 	if got != want {
 		t.Fatalf("Ops() = %+v, want %+v", got, want)
 	}
+
+	// Each counted pair adds one SemijoinCounts. Only a key-count build
+	// adds a KeyIndexes: a.SemijoinCounts(b) uses b's own row set and
+	// builds nothing; PairCounts(b, a) indexes a on Y, the two c counts
+	// (keyed on Y too) reuse that index, and Reset hands it back through
+	// Release.
+	sc.ResetOps()
+	a.SemijoinCounts(b, sc)
+	c := NewTable([]string{"Y", "Z"})
+	c.Add(Tuple{2, 9})
+	var ix KeyCounts
+	ix.PairCounts(b, a, sc)
+	ix.PairCounts(c, a, sc)
+	if hb, bh := ix.PairCounts(c, a, sc); hb != 1 || bh != 1 {
+		t.Fatalf("PairCounts(c, a) = (%d, %d), want (1, 1)", hb, bh)
+	}
+	ix.Reset(sc)
+	want = Ops{SemijoinCounts: 4, KeyIndexes: 1, Released: 1}
+	if got := sc.Ops(); got != want {
+		t.Fatalf("counting Ops() = %+v, want %+v", got, want)
+	}
 	sc.ResetOps()
 	if sc.Ops() != (Ops{}) {
 		t.Fatalf("ResetOps left %+v", sc.Ops())

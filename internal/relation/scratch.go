@@ -3,12 +3,13 @@ package relation
 // This file implements the reusable working memory behind the engine's
 // zero-alloc steady state: a Scratch holds every transient buffer the
 // semijoin/projection kernels need (shared-column positions, block hash
-// buffers, chain-index arrays, matched bitmaps, tuple staging) plus a
-// freelist of released output tables whose arenas are recycled by later
-// operator calls. The scratch-aware operator variants (SemijoinS,
-// SemijoinCountS, ProjectS) accept a nil *Scratch and then behave exactly
-// like their allocating counterparts, so the scratch is purely an
-// optimization layer: results are identical either way.
+// buffers, chain-index arrays, matched bitmaps, tuple staging, a transient
+// key-count index) plus a freelist of released output tables whose arenas
+// are recycled by later operator calls. The scratch-aware operator variants
+// (SemijoinS, SemijoinCountS, SemijoinCounts, ProjectS) accept a nil
+// *Scratch and then behave exactly like their allocating counterparts, so
+// the scratch is purely an optimization layer: results are identical
+// either way.
 //
 // A Scratch is owned by one goroutine at a time and must never be shared
 // between concurrently running operators. Tables handed to Release must be
@@ -33,6 +34,7 @@ type Scratch struct {
 	buf        Tuple
 	sample     []int
 	free       []*Table
+	kc         KeyCounts
 	ops        Ops
 }
 
@@ -43,8 +45,13 @@ type Scratch struct {
 type Ops struct {
 	// Semijoins counts SemijoinS calls (materializing reductions).
 	Semijoins uint64
-	// SemijoinCounts counts SemijoinCountS calls (cardinality-only probes).
+	// SemijoinCounts counts cardinality-only calls: SemijoinCountS,
+	// SemijoinCounts and KeyCounts.PairCounts (each counted pair adds one).
 	SemijoinCounts uint64
+	// KeyIndexes counts key-count indexes built, by KeyCounts.PairCounts
+	// or the SemijoinCounts kernel (a row-set index builds nothing and is
+	// not counted).
+	KeyIndexes uint64
 	// Projections counts ProjectS calls.
 	Projections uint64
 	// Released counts tables recycled through Release.

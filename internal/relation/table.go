@@ -310,6 +310,9 @@ func (t *Table) SemijoinCount(u *Table) int {
 
 // SemijoinCountS is SemijoinCount drawing its transient buffers from sc
 // (see Scratch); nil sc allocates as SemijoinCount does.
+//
+// In the classic direction, when every column of u is shared, u's own row
+// set is the index (the row-set path of KeyCounts) and nothing is built.
 func (t *Table) SemijoinCountS(u *Table, sc *Scratch) int {
 	if sc != nil {
 		sc.ops.SemijoinCounts++
@@ -328,6 +331,13 @@ func (t *Table) SemijoinCountS(u *Table, sc *Scratch) int {
 				n++
 			}
 		}
+		return n
+	}
+	if len(uPos) == len(u.vars) {
+		ix := sc.keyCounts()
+		ix.build(u, t, sc)
+		_, n := ix.count(t, sc)
+		ix.Reset(sc)
 		return n
 	}
 	idx := buildChainIndexS(&u.colStore, uPos, sc)
