@@ -93,22 +93,36 @@ func (l LiteralScheme) Key() string {
 // so a programmatically built relation name containing '"' itself renders
 // as a literal that cannot be reparsed.
 func (l LiteralScheme) String() string {
-	name := l.Pred
-	if !l.PredVar && relNameNeedsQuotes(name) {
-		name = `"` + name + `"`
+	var buf [64]byte
+	return string(l.appendTo(buf[:0]))
+}
+
+// appendTo appends the String rendering of l to dst.
+func (l LiteralScheme) appendTo(dst []byte) []byte {
+	if !l.PredVar && relNameNeedsQuotes(l.Pred) {
+		dst = append(dst, '"')
+		dst = append(dst, l.Pred...)
+		dst = append(dst, '"')
+	} else {
+		dst = append(dst, l.Pred...)
 	}
-	args := make([]string, len(l.Args))
+	dst = append(dst, '(')
 	for i, a := range l.Args {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
 		// Constants whose bare rendering would not reparse as a constant
 		// (non-identifier bytes) are double-quoted, exactly as the parser
 		// accepts them.
 		if IsConstName(a) && constArgNeedsQuotes(a) {
-			args[i] = `"` + a + `"`
+			dst = append(dst, '"')
+			dst = append(dst, a...)
+			dst = append(dst, '"')
 		} else {
-			args[i] = a
+			dst = append(dst, a...)
 		}
 	}
-	return fmt.Sprintf("%s(%s)", name, strings.Join(args, ","))
+	return append(dst, ')')
 }
 
 // constArgNeedsQuotes reports whether a constant argument must be quoted
@@ -325,11 +339,16 @@ func (mq *Metaquery) IsSemiAcyclic() bool { return hypergraph.IsAcyclic(mq.SemiH
 
 // String renders the metaquery in the paper's arrow syntax.
 func (mq *Metaquery) String() string {
-	parts := make([]string, len(mq.Body))
+	var buf [128]byte
+	dst := mq.Head.appendTo(buf[:0])
+	dst = append(dst, " <- "...)
 	for i, l := range mq.Body {
-		parts[i] = l.String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = l.appendTo(dst)
 	}
-	return fmt.Sprintf("%s <- %s", mq.Head.String(), strings.Join(parts, ", "))
+	return string(dst)
 }
 
 // Rule is an ordinary Horn rule over a database: the result of applying an
@@ -342,16 +361,19 @@ type Rule struct {
 // HeadAtoms returns h(r): the singleton set of head atoms.
 func (r Rule) HeadAtoms() []relation.Atom { return []relation.Atom{r.Head} }
 
-// BodyAtoms returns b(r): the set of body atoms (deduplicated).
+// BodyAtoms returns b(r): the set of body atoms, deduplicated in
+// first-occurrence order. Bodies hold a handful of atoms, so a linear
+// Atom.Equal scan beats hashing rendered keys.
 func (r Rule) BodyAtoms() []relation.Atom {
-	seen := make(map[string]bool, len(r.Body))
 	out := make([]relation.Atom, 0, len(r.Body))
+next:
 	for _, a := range r.Body {
-		k := a.String()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, a)
+		for _, b := range out {
+			if a.Equal(b) {
+				continue next
+			}
 		}
+		out = append(out, a)
 	}
 	return out
 }
@@ -363,9 +385,20 @@ func (r Rule) AllAtoms() []relation.Atom {
 
 // String renders the rule in Datalog arrow syntax.
 func (r Rule) String() string {
-	parts := make([]string, len(r.Body))
+	var buf [128]byte
+	return string(r.appendTo(buf[:0]))
+}
+
+// appendTo appends the String rendering of r to dst, rendering every atom
+// through relation.Atom.AppendTo.
+func (r Rule) appendTo(dst []byte) []byte {
+	dst = r.Head.AppendTo(dst, nil)
+	dst = append(dst, " <- "...)
 	for i, a := range r.Body {
-		parts[i] = a.String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = a.AppendTo(dst, nil)
 	}
-	return fmt.Sprintf("%s <- %s", r.Head.String(), strings.Join(parts, ", "))
+	return dst
 }

@@ -62,13 +62,15 @@ func Candidates(db *relation.Database, l LiteralScheme, typ InstType, patternIdx
 // the given relation names. It is the shared generator behind Candidates
 // (all relations) and CandidateIndex.Candidates (arity-bucketed names).
 func candidatesOver(db *relation.Database, l LiteralScheme, typ InstType, patternIdx int, names []string) []relation.Atom {
-	var out []relation.Atom
-	seen := make(map[string]bool)
+	// Each atom is rendered once: its text keys both the dedup map and the
+	// sort.
+	var keys []string
+	seen := make(map[string]relation.Atom)
 	add := func(a relation.Atom) {
 		k := a.String()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, a)
+		if _, dup := seen[k]; !dup {
+			seen[k] = a
+			keys = append(keys, k)
 		}
 	}
 	k := len(l.Args)
@@ -107,7 +109,14 @@ func candidatesOver(db *relation.Database, l LiteralScheme, typ InstType, patter
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	if len(keys) == 0 {
+		return nil
+	}
+	sort.Strings(keys)
+	out := make([]relation.Atom, len(keys))
+	for i, k := range keys {
+		out[i] = seen[k]
+	}
 	return out
 }
 

@@ -142,26 +142,31 @@ func (ev *Evaluator) Database() *relation.Database { return ev.db }
 // nil when it carries none.
 func (ev *Evaluator) Stats() *stats.Stats { return ev.st }
 
+// atomKeyLen sizes the stack buffer an atom's cache key is rendered into;
+// longer atoms spill to the heap, which only costs an allocation.
+const atomKeyLen = 64
+
 // AtomEst returns the cost estimate of atom a (stats.AtomEst), cached
 // across evaluations. It must only be called on evaluators carrying
 // statistics.
 func (ev *Evaluator) AtomEst(a relation.Atom) stats.Est {
-	return ev.atomEstKey(a.String(), a)
+	var kb [atomKeyLen]byte
+	return ev.atomEstKey(a.AppendTo(kb[:0], nil), a)
 }
 
-// atomEstKey is AtomEst with the cache key precomputed, so callers that
-// already built the atom's string (the join path shares it with the table
-// cache) do not pay for it twice.
-func (ev *Evaluator) atomEstKey(k string, a relation.Atom) stats.Est {
+// atomEstKey is AtomEst with the cache key (the atom's text) precomputed,
+// so the join path renders it once for both caches. A hit builds no
+// string: m[string(k)] does not allocate.
+func (ev *Evaluator) atomEstKey(k []byte, a relation.Atom) stats.Est {
 	ev.mu.RLock()
-	e, ok := ev.ests[k]
+	e, ok := ev.ests[string(k)]
 	ev.mu.RUnlock()
 	if ok {
 		return e.e
 	}
 	est := ev.st.AtomEst(a)
 	ev.mu.Lock()
-	ev.ests[k] = estEntry{e: est, pred: a.Pred}
+	ev.ests[string(k)] = estEntry{e: est, pred: a.Pred}
 	ev.mu.Unlock()
 	return est
 }
@@ -169,13 +174,15 @@ func (ev *Evaluator) atomEstKey(k string, a relation.Atom) stats.Est {
 // TableFor returns the materialization of atom a (relation.FromAtom), cached
 // across evaluations. The result is shared: callers must not modify it.
 func (ev *Evaluator) TableFor(a relation.Atom) (*relation.Table, error) {
-	return ev.tableForKey(a.String(), a)
+	var kb [atomKeyLen]byte
+	return ev.tableForKey(a.AppendTo(kb[:0], nil), a)
 }
 
-// tableForKey is TableFor with the cache key precomputed.
-func (ev *Evaluator) tableForKey(k string, a relation.Atom) (*relation.Table, error) {
+// tableForKey is TableFor with the cache key precomputed. Only a miss
+// allocates the key string.
+func (ev *Evaluator) tableForKey(k []byte, a relation.Atom) (*relation.Table, error) {
 	ev.mu.RLock()
-	e, ok := ev.atoms[k]
+	e, ok := ev.atoms[string(k)]
 	ev.mu.RUnlock()
 	if ok {
 		return e.t, nil
@@ -186,10 +193,10 @@ func (ev *Evaluator) tableForKey(k string, a relation.Atom) (*relation.Table, er
 	}
 	t = t.Compact() // cached for the evaluator's lifetime; don't pin the scan-sized arena
 	ev.mu.Lock()
-	if prev, ok := ev.atoms[k]; ok {
+	if prev, ok := ev.atoms[string(k)]; ok {
 		t = prev.t // another goroutine won the race; keep one canonical table
 	} else {
-		ev.atoms[k] = atomEntry{t: t, pred: a.Pred}
+		ev.atoms[string(k)] = atomEntry{t: t, pred: a.Pred}
 	}
 	ev.mu.Unlock()
 	return t, nil
@@ -230,8 +237,9 @@ func (ev *Evaluator) Join(atoms []relation.Atom) (*relation.Table, error) {
 			in, ord = make([]stats.Est, len(atoms)), make([]int, len(atoms))
 		}
 	}
+	var kb [atomKeyLen]byte
 	for i, a := range atoms {
-		k := a.String()
+		k := a.AppendTo(kb[:0], nil)
 		t, err := ev.tableForKey(k, a)
 		if err != nil {
 			buf.put(tables, schemas)

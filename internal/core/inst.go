@@ -92,7 +92,7 @@ func (s *Instantiation) Assign(l LiteralScheme, a relation.Atom) error {
 	}
 	key := l.Key()
 	if prev, ok := s.assign[key]; ok {
-		if prev.String() != a.String() {
+		if !prev.Equal(a) {
 			return fmt.Errorf("core: pattern %s already assigned to %s", l, prev)
 		}
 		return nil
@@ -145,7 +145,7 @@ func (s *Instantiation) Len() int { return len(s.assign) }
 // shared predicate variables.
 func (s *Instantiation) Agrees(t *Instantiation) bool {
 	for k, a := range s.assign {
-		if b, ok := t.assign[k]; ok && b.String() != a.String() {
+		if b, ok := t.assign[k]; ok && !b.Equal(a) {
 			return false
 		}
 	}

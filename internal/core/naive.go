@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"sort"
 
@@ -104,9 +105,55 @@ func NaiveAnswersContext(ctx context.Context, db *relation.Database, mq *Metaque
 	return out, nil
 }
 
-// SortAnswers orders answers deterministically by rule text.
+// SortAnswers orders answers deterministically by rule text. Each rule is
+// rendered once (RenderAnswers), and sort.Sort runs the same pdqsort as
+// sort.Slice, so the permutation, ties included, is the one a comparator
+// rendering both rules on every comparison produces.
 func SortAnswers(as []Answer) {
-	sort.Slice(as, func(i, j int) bool { return as[i].Rule.String() < as[j].Rule.String() })
+	if len(as) < 2 {
+		return
+	}
+	sort.Sort(byRuleText{RenderAnswers(as)})
+}
+
+// byRuleText sorts answers by their rendered rule text.
+type byRuleText struct{ RenderedAnswers }
+
+func (s byRuleText) Less(i, j int) bool { return s.CompareText(i, j) < 0 }
+
+// RenderedAnswers pairs a slice of answers with the text of each rule,
+// rendered once into one shared buffer, so comparators compare text
+// without rendering it again. Len and Swap keep answers and texts in
+// step: a sort.Interface over answers embeds it and adds only Less.
+type RenderedAnswers struct {
+	Answers []Answer
+	buf     []byte
+	spans   [][2]int // answer i's text is buf[spans[i][0]:spans[i][1]]
+}
+
+// RenderAnswers renders the rule of every answer of as once.
+func RenderAnswers(as []Answer) RenderedAnswers {
+	r := RenderedAnswers{Answers: as, buf: make([]byte, 0, 64*len(as)), spans: make([][2]int, len(as))}
+	for i := range as {
+		lo := len(r.buf)
+		r.buf = as[i].Rule.appendTo(r.buf)
+		r.spans[i] = [2]int{lo, len(r.buf)}
+	}
+	return r
+}
+
+func (r RenderedAnswers) Len() int { return len(r.Answers) }
+
+func (r RenderedAnswers) Swap(i, j int) {
+	r.Answers[i], r.Answers[j] = r.Answers[j], r.Answers[i]
+	r.spans[i], r.spans[j] = r.spans[j], r.spans[i]
+}
+
+// CompareText compares the rule texts of answers i and j as
+// strings.Compare would.
+func (r RenderedAnswers) CompareText(i, j int) int {
+	a, b := r.spans[i], r.spans[j]
+	return bytes.Compare(r.buf[a[0]:a[1]], r.buf[b[0]:b[1]])
 }
 
 // Decide solves the decision problem ⟨DB, MQ, I, k, T⟩ of Section 3.2: is

@@ -185,7 +185,7 @@ func (r *run) headAgrees(sigma *core.Instantiation, ha relation.Atom) bool {
 	if !head.PredVar {
 		return true
 	}
-	if prev, ok := sigma.AtomFor(head); ok && prev.String() != ha.String() {
+	if prev, ok := sigma.AtomFor(head); ok && !prev.Equal(ha) {
 		return false
 	}
 	if rel, ok := sigma.RelationOf(head.Pred); ok && rel != ha.Pred {

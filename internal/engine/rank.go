@@ -16,26 +16,40 @@ import (
 // negligible information to the user"; ranking plus TopAnswers is the
 // presentation half of that contract.
 func RankAnswers(answers []core.Answer, by core.Index) []core.Answer {
-	key := func(a core.Answer) [3]rat.Rat {
-		switch by {
-		case core.Cnf:
-			return [3]rat.Rat{a.Cnf, a.Sup, a.Cvr}
-		case core.Cvr:
-			return [3]rat.Rat{a.Cvr, a.Sup, a.Cnf}
-		default:
-			return [3]rat.Rat{a.Sup, a.Cnf, a.Cvr}
+	if len(answers) < 2 {
+		return answers
+	}
+	sort.Stable(byIndex{core.RenderAnswers(answers), by})
+	return answers
+}
+
+// byIndex ranks answers by index, falling back to their rule texts, which
+// are rendered once up front instead of per comparison.
+type byIndex struct {
+	core.RenderedAnswers
+	by core.Index
+}
+
+func (s byIndex) key(i int) [3]rat.Rat {
+	a := &s.Answers[i]
+	switch s.by {
+	case core.Cnf:
+		return [3]rat.Rat{a.Cnf, a.Sup, a.Cvr}
+	case core.Cvr:
+		return [3]rat.Rat{a.Cvr, a.Sup, a.Cnf}
+	default:
+		return [3]rat.Rat{a.Sup, a.Cnf, a.Cvr}
+	}
+}
+
+func (s byIndex) Less(i, j int) bool {
+	ki, kj := s.key(i), s.key(j)
+	for x := 0; x < 3; x++ {
+		if c := ki[x].Cmp(kj[x]); c != 0 {
+			return c > 0
 		}
 	}
-	sort.SliceStable(answers, func(i, j int) bool {
-		ki, kj := key(answers[i]), key(answers[j])
-		for x := 0; x < 3; x++ {
-			if c := ki[x].Cmp(kj[x]); c != 0 {
-				return c > 0
-			}
-		}
-		return answers[i].Rule.String() < answers[j].Rule.String()
-	})
-	return answers
+	return s.CompareText(i, j) < 0
 }
 
 // TopAnswers returns the k highest-ranked answers by the given index

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/mqgo/metaquery/internal/core"
@@ -82,6 +84,61 @@ func TestTopAnswersOnRealRun(t *testing.T) {
 	for i := 1; i < len(top); i++ {
 		if top[i].Cnf.Greater(top[i-1].Cnf) {
 			t.Error("ranking not descending")
+		}
+	}
+}
+
+// TestRankAnswersMatchesRenderingComparator pins RankAnswers to the
+// permutation of the comparator it replaced, which rendered both rules
+// whenever the index triples tied. Answers are drawn from a tiny
+// vocabulary so equal triples and equal rule texts are common; each
+// carries its own *Instantiation, which identifies it across sorts.
+func TestRankAnswersMatchesRenderingComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	idx := []rat.Rat{rat.Zero, rat.New(1, 2), rat.One}
+	atom := func() relation.Atom {
+		return relation.NewAtom([]string{"p", "q"}[rng.Intn(2)], []string{"X", "Y"}[rng.Intn(2)])
+	}
+	for _, n := range []int{0, 1, 2, 17, 2000} {
+		for _, by := range []core.Index{core.Sup, core.Cnf, core.Cvr} {
+			as := make([]core.Answer, n)
+			for i := range as {
+				body := make([]relation.Atom, rng.Intn(3))
+				for j := range body {
+					body[j] = atom()
+				}
+				as[i] = core.Answer{
+					Inst: core.NewInstantiation(),
+					Rule: core.Rule{Head: atom(), Body: body},
+					Sup:  idx[rng.Intn(3)], Cnf: idx[rng.Intn(3)], Cvr: idx[rng.Intn(3)],
+				}
+			}
+			want := append([]core.Answer(nil), as...)
+			key := func(a core.Answer) [3]rat.Rat {
+				switch by {
+				case core.Cnf:
+					return [3]rat.Rat{a.Cnf, a.Sup, a.Cvr}
+				case core.Cvr:
+					return [3]rat.Rat{a.Cvr, a.Sup, a.Cnf}
+				default:
+					return [3]rat.Rat{a.Sup, a.Cnf, a.Cvr}
+				}
+			}
+			sort.SliceStable(want, func(i, j int) bool {
+				ki, kj := key(want[i]), key(want[j])
+				for x := 0; x < 3; x++ {
+					if c := ki[x].Cmp(kj[x]); c != 0 {
+						return c > 0
+					}
+				}
+				return want[i].Rule.String() < want[j].Rule.String()
+			})
+			RankAnswers(as, by)
+			for i := range as {
+				if as[i].Inst != want[i].Inst {
+					t.Fatalf("n=%d by %s: position %d holds %q, reference holds %q", n, by, i, as[i].Rule, want[i].Rule)
+				}
+			}
 		}
 	}
 }

@@ -1,8 +1,7 @@
 package relation
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 	"unicode"
 )
 
@@ -72,36 +71,76 @@ func (a Atom) Arity() int { return len(a.Terms) }
 func (a Atom) String() string { return a.StringDict(nil) }
 
 // StringDict formats the atom, resolving interned constants through d when
-// non-nil. Named constants render as their name, double-quoted when the
-// bare name could be read as a variable (the metaquery parser's argument
-// syntax), which keeps the rendering injective against variable terms.
+// non-nil (see AppendTo).
 func (a Atom) StringDict(d *Dict) string {
-	var b strings.Builder
-	b.WriteString(a.Pred)
-	b.WriteByte('(')
+	var buf [64]byte
+	return string(a.AppendTo(buf[:0], d))
+}
+
+// AppendTo appends the atom's Datalog rendering to dst and returns the
+// extended slice. It is the one renderer behind String, StringDict and
+// every cache key built from atom text, so callers holding a reusable
+// buffer render without allocating. Interned constants resolve through d
+// when non-nil and render as #index otherwise. Named constants render as
+// their name, double-quoted when the bare name could be read as a variable
+// (the metaquery parser's argument syntax), which keeps the rendering
+// injective against variable terms.
+func (a Atom) AppendTo(dst []byte, d *Dict) []byte {
+	dst = append(dst, a.Pred...)
+	dst = append(dst, '(')
 	for i, t := range a.Terms {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
 		switch {
 		case t.IsVar():
-			b.WriteString(t.Var)
+			dst = append(dst, t.Var...)
 		case t.ConstName != "":
 			if constNameNeedsQuotes(t.ConstName) {
-				b.WriteByte('"')
-				b.WriteString(t.ConstName)
-				b.WriteByte('"')
+				dst = append(dst, '"')
+				dst = append(dst, t.ConstName...)
+				dst = append(dst, '"')
 			} else {
-				b.WriteString(t.ConstName)
+				dst = append(dst, t.ConstName...)
 			}
 		case d != nil:
-			b.WriteString(d.Name(t.Const))
+			dst = append(dst, d.Name(t.Const)...)
 		default:
-			fmt.Fprintf(&b, "#%d", t.Const)
+			dst = append(dst, '#')
+			dst = strconv.AppendInt(dst, int64(t.Const), 10)
 		}
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(dst, ')')
+}
+
+// Equal reports whether a and b are the same atom without rendering
+// either: same predicate, same arity, and position by position the same
+// variable, the same named constant (Const is ignored when ConstName is
+// set, as in rendering) or the same interned constant. For atoms whose
+// variables follow the metaquery naming convention (upper-case or '_'
+// initial) it agrees with a.String() == b.String().
+func (a Atom) Equal(b Atom) bool {
+	if a.Pred != b.Pred || len(a.Terms) != len(b.Terms) {
+		return false
+	}
+	for i, t := range a.Terms {
+		u := b.Terms[i]
+		switch {
+		case t.IsVar():
+			if t.Var != u.Var {
+				return false
+			}
+		case t.ConstName != "":
+			if u.IsVar() || t.ConstName != u.ConstName {
+				return false
+			}
+		default:
+			if u.IsVar() || u.ConstName != "" || t.Const != u.Const {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // constNameNeedsQuotes reports whether a named constant must be quoted to
