@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/mqgo/metaquery/internal/core"
+	"github.com/mqgo/metaquery/internal/obs"
 	"github.com/mqgo/metaquery/internal/rat"
 	"github.com/mqgo/metaquery/internal/workload"
 )
@@ -164,6 +165,65 @@ func TestExplainRun(t *testing.T) {
 	for i := range want {
 		if answers[i].Rule.String() != want[i].Rule.String() {
 			t.Fatalf("answer %d differs: %v vs %v", i, answers[i], want[i])
+		}
+	}
+}
+
+// TestExplainRunParallel checks that ExplainRun honours Options.Workers:
+// the sharded run returns the sequential answers and, node by node, the
+// same visit count and actual row statistics, since the chunks cover the
+// candidate space exactly. It also checks that a traced explain run roots
+// its node-join spans under a findrules span (sequential) or the
+// stream-parallel coordinator (sharded), never as orphan roots.
+func TestExplainRunParallel(t *testing.T) {
+	db := workload.ChainDB(3, 10, 40, 7)
+	mq := workload.ChainMQ(3)
+	eng := NewEngine(db)
+	explain := func(workers int, root string) (*Explain, []core.Answer) {
+		t.Helper()
+		prep, err := eng.Prepare(mq, Options{Type: core.Type0, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTracer()
+		ex, answers, err := prep.ExplainRun(obs.WithTracer(context.Background(), tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots := tr.Tree()
+		if len(spansNamed(roots, root)) != 1 {
+			t.Fatalf("workers=%d: want one %s span\n%s", workers, root, obs.RenderTree(roots))
+		}
+		for _, r := range roots {
+			if r.Name == "node-join" {
+				t.Fatalf("workers=%d: orphan node-join root span\n%s", workers, obs.RenderTree(roots))
+			}
+		}
+		return ex, answers
+	}
+	seqEx, seqAnswers := explain(1, "findrules")
+	parEx, parAnswers := explain(3, "stream-parallel")
+
+	if len(parAnswers) != len(seqAnswers) {
+		t.Fatalf("parallel explain found %d answers, sequential %d", len(parAnswers), len(seqAnswers))
+	}
+	for i := range seqAnswers {
+		if parAnswers[i].Rule.String() != seqAnswers[i].Rule.String() {
+			t.Fatalf("answer %d differs: %v vs %v", i, parAnswers[i], seqAnswers[i])
+		}
+	}
+	if parEx.Stats.Answers != len(parAnswers) {
+		t.Fatalf("parallel Stats.Answers = %d, want %d", parEx.Stats.Answers, len(parAnswers))
+	}
+	if len(parEx.Nodes) != len(seqEx.Nodes) {
+		t.Fatalf("parallel report has %d nodes, sequential %d", len(parEx.Nodes), len(seqEx.Nodes))
+	}
+	for i, want := range seqEx.Nodes {
+		got := parEx.Nodes[i]
+		if got.NodeID != want.NodeID || got.EstRows != want.EstRows ||
+			got.Visits != want.Visits || got.MinRows != want.MinRows ||
+			got.MaxRows != want.MaxRows || got.TotalRows != want.TotalRows {
+			t.Errorf("node %d: parallel %+v, sequential %+v", want.NodeID, got, want)
 		}
 	}
 }

@@ -7,9 +7,7 @@ import (
 
 	"github.com/mqgo/metaquery/internal/core"
 	"github.com/mqgo/metaquery/internal/hypertree"
-	"github.com/mqgo/metaquery/internal/obs"
 	"github.com/mqgo/metaquery/internal/rat"
-	"github.com/mqgo/metaquery/internal/relation"
 	"github.com/mqgo/metaquery/internal/stats"
 )
 
@@ -41,173 +39,67 @@ func (p *Prepared) DecideFirst(ctx context.Context, ix core.Index, k rat.Rat) (b
 // counters, so the cost of YES and NO verdicts can be observed (and
 // benchmarked) separately.
 //
-// With Options.Workers > 1 the first decomposition node's candidate atoms
-// are handed out as chunks of the selectivity-ordered list through a shared
-// atomic cursor (parallel.go); the workers share a first-witness
-// cancellation, so the first worker to find a witness stops the others. The
-// verdict is identical to the sequential run (the chunks cover the
-// candidate space exactly); the witness may differ when several exist, and
-// the returned counters are the sums over all workers.
+// With Options.Workers > 1 the decision runs on the engine's one worker
+// pool (parallel.go), the same sharded driver the parallel enumeration
+// uses: the first decision node's candidate atoms are handed out as chunks
+// of the selectivity-ordered list, each worker runs its own decider, and
+// the first witness recorded stops the other workers. The verdict is
+// identical to the sequential run (the chunks cover the candidate space
+// exactly); the witness may differ when several exist, and the returned
+// counters are the sums over all workers.
 func (p *Prepared) DecideFirstStats(ctx context.Context, ix core.Index, k rat.Rat) (bool, *core.Instantiation, *Stats, error) {
-	if p.opt.Workers > 1 {
-		if yes, wit, st, ok, err := p.decideFirstParallel(ctx, ix, k); ok {
-			return yes, wit, st, err
-		}
-		// No partitionable scheme (or too few candidates): run sequential.
-	}
-	return p.decideFirstSeq(ctx, ix, k, nil, nil, -1)
-}
-
-// decideFirstSeq is one sequential first-witness run, optionally with a
-// candidate restriction for a parallel worker's block. A non-nil ep pins
-// the epoch (the parallel coordinator resolves one for all workers); nil
-// resolves the current one. parent is the tracing parent span: -1 for a
-// standalone run, the coordinator's span for a parallel worker chunk.
-func (p *Prepared) decideFirstSeq(ctx context.Context, ix core.Index, k rat.Rat, restrict map[int][]relation.Atom, ep *prepEpoch, parent int) (bool, *core.Instantiation, *Stats, error) {
 	opt := p.opt
 	opt.Thresholds = core.SingleIndex(ix, k)
 	opt.Limit = 0 // unused here: the decision run terminates via errFound
-	if ep == nil {
-		ep = p.tracedEpoch(resolveTracer(ctx, opt))
+	ep := p.tracedEpoch(resolveTracer(ctx, opt))
+	order := p.decideOrder(ep)
+	if opt.Workers > 1 {
+		var (
+			mu      sync.Mutex
+			witness *core.Instantiation
+		)
+		st := &Stats{}
+		err := p.shard(ctx, ep, opt, order, "decide-parallel", st, func(r *run) {
+			d := &decider{run: r, ix: ix, k: k}
+			r.onBody = func(b *body) error {
+				err := d.onBody(b)
+				if err == errFound {
+					mu.Lock()
+					if witness == nil {
+						witness = d.witness
+					}
+					mu.Unlock()
+				}
+				return err
+			}
+		})
+		if err != errNoShard {
+			// A witness is definitive even when the search was cut short.
+			if witness != nil {
+				st.Answers = 1
+				return true, witness, st, nil
+			}
+			return false, nil, st, err
+		}
+		// No partitionable scheme: run sequentially.
 	}
+
 	r := p.newRunEp(ctx, opt, ep)
 	defer r.release()
-	r.order = p.decideOrder(ep)
-	r.restrict = restrict
-	r.span = parent
-	if restrict == nil {
-		r.beginRoot("decide")
-	} else {
-		r.beginRoot("chunk")
-	}
+	r.order = order
+	r.beginRoot("decide")
 	defer r.endRoot()
-
 	d := &decider{run: r, ix: ix, k: k}
 	r.onBody = d.onBody
 	err := r.forEachBody()
 	if err != nil && err != errFound {
-		// The counters are fully populated up to the abort point; return
-		// them so cancelled parallel workers still contribute their work
-		// to the merged totals.
+		// The counters are fully populated up to the abort point.
 		return false, nil, r.stats, err
 	}
 	if d.witness != nil {
 		r.stats.Answers = 1
 	}
 	return d.witness != nil, d.witness, r.stats, nil
-}
-
-// decideFirstParallel shards the first decision node's candidates across
-// p.opt.Workers goroutines via the shared chunk cursor. It reports ok=false
-// when the search has no scheme worth partitioning (no pattern in the first
-// node, or fewer than two candidates), in which case the caller runs
-// sequentially.
-func (p *Prepared) decideFirstParallel(ctx context.Context, ix core.Index, k rat.Rat) (bool, *core.Instantiation, *Stats, bool, error) {
-	// One epoch for the whole sharded execution: the chunk partition and
-	// every worker must see the same candidate lists and database version.
-	tr := resolveTracer(ctx, p.opt)
-	ep := p.tracedEpoch(tr)
-	order := p.decideOrder(ep)
-	schemeID, cands := p.partitionScheme(ep, order)
-	if schemeID < 0 || len(cands) < 2 {
-		return false, nil, nil, false, nil
-	}
-	workers := p.opt.Workers
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	root := tr.Begin(-1, "decide-parallel")
-	defer func() { tr.End(root, obs.AInt("workers", workers), obs.AInt("candidates", len(cands))) }()
-
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		mu       sync.Mutex
-		witness  *core.Instantiation
-		firstErr error
-		merged   Stats
-		wg       sync.WaitGroup
-	)
-	cursor := newCandCursor(cands, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Claim chunks off the shared atomic cursor until a witness is
-			// found somewhere or the candidates run out: a worker whose
-			// chunks are cheap keeps pulling from the remainder instead of
-			// idling while another holds an expensive static block.
-			restrict := map[int][]relation.Atom{}
-			for block := cursor.take(); block != nil; block = cursor.take() {
-				if wctx.Err() != nil {
-					return
-				}
-				restrict[schemeID] = block
-				yes, wit, st, err := p.decideFirstSeq(wctx, ix, k, restrict, ep, root)
-				mu.Lock()
-				merged.merge(st)
-				if err != nil {
-					if firstErr == nil && wctx.Err() == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				if yes {
-					if witness == nil {
-						witness = wit
-					}
-					mu.Unlock()
-					cancel() // first witness wins; stop the other workers
-					return
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	merged.Width = p.decomp.Width
-	merged.Nodes = len(p.order)
-	if witness != nil {
-		merged.Answers = 1
-		return true, witness, &merged, true, nil
-	}
-	if firstErr != nil {
-		return false, nil, &merged, true, firstErr
-	}
-	// No worker found a witness: if the surrounding context was cancelled
-	// the exhaustion is not definitive, so surface its error — with the
-	// merged counters, matching the sequential path's stats-on-abort
-	// behavior.
-	if err := ctx.Err(); err != nil {
-		return false, nil, &merged, true, err
-	}
-	return false, nil, &merged, true, nil
-}
-
-// partitionScheme picks the scheme the parallel decision run partitions:
-// the first pattern scheme of the first node in the decision visit order,
-// with its (selectivity-ordered) candidate atoms. It returns -1 when the
-// first node holds no pattern scheme.
-func (p *Prepared) partitionScheme(ep *prepEpoch, order []*hypertree.Node) (int, []relation.Atom) {
-	if len(order) == 0 {
-		return -1, nil
-	}
-	for _, id := range p.nodeSchemes[order[0].ID] {
-		bs := p.schemes[id]
-		if !bs.scheme.PredVar {
-			continue
-		}
-		if c, ok := p.orderedCandidates(ep)[id]; ok {
-			return id, c
-		}
-		return id, ep.snap.cands.Candidates(bs.scheme, p.opt.Type, bs.patternIdx)
-	}
-	return -1, nil
 }
 
 // decider is the first-witness consumer of the body-search iterator.
@@ -340,10 +232,7 @@ func (r *run) completeHead(sigma *core.Instantiation) (*core.Instantiation, bool
 // shared.
 func (p *Prepared) decideOrder(ep *prepEpoch) []*hypertree.Node {
 	ep.decideOrderOnce.Do(func() {
-		est := make(map[int]float64, len(p.order))
-		for _, n := range p.order {
-			est[n.ID] = p.nodeEstimate(ep, n)
-		}
+		est := p.nodeEstimates(ep)
 		// Subtree rank: the minimum estimate in the subtree.
 		var rank func(n *hypertree.Node) float64
 		ranks := make(map[int]float64, len(p.order))

@@ -22,10 +22,18 @@
 //     the full sorted answer set;
 //   - Stream (stream.go) yields answers incrementally so consumers can
 //     abandon the search early;
+//   - ExplainRun (explain.go) is FindRules recording the per-node
+//     estimate-vs-actual plan report;
 //   - DecideFirst (decide.go) is the dedicated first-witness decision path:
 //     it checks a single index, skips head enumeration when the index makes
 //     heads irrelevant, visits nodes smallest-estimated-table first, and
 //     stops at the first admissible witness.
+//
+// The three enumerating modes share one producer (Prepared.enumerate) and
+// FindRules and ExplainRun one collector; with Options.Workers > 1 every
+// mode above runs on one worker pool (parallel.go), which shards the first
+// visited node's candidates and differs per mode only in the consumer each
+// worker installs.
 //
 // Executions take a context.Context and stop promptly with ctx.Err() on
 // cancellation.
@@ -70,14 +78,14 @@ type Options struct {
 	Limit int
 
 	// Workers, when greater than 1, shards the first decomposition node's
-	// candidate atoms across this many goroutines — on every execution
-	// path. DecideFirst workers share a first-witness cancellation;
-	// FindRules and Stream workers each run the body search over one
-	// candidate block and feed a merged result stream (parallel.go), which
-	// makes Stream's answer order nondeterministic (FindRules sorts, so its
-	// result is unchanged). 0 and 1 both mean sequential runs. Queries
-	// whose first node has no pattern scheme (or fewer than two candidate
-	// atoms) always run sequentially.
+	// candidate atoms across this many goroutines — on every exact
+	// execution path, all through one worker pool (parallel.go).
+	// DecideFirst workers share a first-witness cancellation; FindRules,
+	// Stream and ExplainRun workers feed a merged result stream, which
+	// makes Stream's answer order nondeterministic (FindRules and
+	// ExplainRun sort, so their results are unchanged). 0 and 1 both mean
+	// sequential runs. Queries whose first node has no pattern scheme (or
+	// fewer than two candidate atoms) always run sequentially.
 	Workers int
 
 	// Approx configures the sampling-based ε–δ decision path

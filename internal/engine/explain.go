@@ -81,51 +81,36 @@ func (e *Explain) String() string {
 // ExplainRun executes the prepared metaquery once while recording the
 // estimate-vs-actual plan report, returning the report together with the
 // full sorted answer set. The visit order, estimates and candidate
-// ordering are exactly what FindRules uses, so the report describes the
-// production plan, not a simulation.
+// ordering are exactly what FindRules uses — with Options.Workers > 1 the
+// run is sharded the same way, and every worker records into the one
+// report — so the report describes the production plan, not a simulation.
 //
 // On a context error the report and the answers found so far are still
 // returned alongside the error — a timed-out explain run is precisely
 // when the estimate-vs-actual surface is most interesting.
 func (p *Prepared) ExplainRun(ctx context.Context) (*Explain, []core.Answer, error) {
-	r := p.newRun(ctx)
-	defer r.release()
-	ex := p.newExplain(r)
-	r.explain = ex
-
-	var answers []core.Answer
-	r.emit = func(a core.Answer) error {
-		answers = append(answers, a)
-		if r.opt.Limit > 0 && len(answers) >= r.opt.Limit {
-			return errLimit
-		}
-		return nil
-	}
-	err := r.search()
-	if err == errLimit {
-		err = nil
-	}
-	core.SortAnswers(answers)
-	r.stats.Answers = len(answers)
-	ex.Stats = r.stats
+	ex := &Explain{}
+	answers, st, err := p.collect(ctx, ex)
+	ex.Stats = st
 	return ex, answers, err
 }
 
-// newExplain seeds the report skeleton for the run's visit order.
-func (p *Prepared) newExplain(r *run) *Explain {
-	ex := &Explain{pos: make(map[int]int, len(r.order))}
-	for i, n := range r.order {
+// seed lays out the report skeleton for the enumeration visit order, with
+// the per-node estimates of the epoch ep the explained run executes on.
+func (e *Explain) seed(p *Prepared, ep *prepEpoch) {
+	est := p.nodeEstimates(ep)
+	e.pos = make(map[int]int, len(p.order))
+	for i, n := range p.order {
 		schemes := make([]string, 0, len(p.nodeSchemes[n.ID]))
 		for _, id := range p.nodeSchemes[n.ID] {
 			schemes = append(schemes, p.schemes[id].scheme.String())
 		}
-		ex.Nodes = append(ex.Nodes, ExplainNode{
+		e.Nodes = append(e.Nodes, ExplainNode{
 			NodeID:  n.ID,
 			Chi:     append([]string(nil), n.Chi...),
 			Schemes: schemes,
-			EstRows: p.nodeEstimate(r.ep, n),
+			EstRows: est[n.ID],
 		})
-		ex.pos[n.ID] = i
+		e.pos[n.ID] = i
 	}
-	return ex
 }

@@ -265,13 +265,20 @@ func (r *run) findHeads(bd *body) error {
 		if err != nil {
 			return err
 		}
-		if err := r.emit(core.Answer{
+		// Count before emitting: an answer the consumer stops on was still
+		// delivered, and must show in Stats.Answers.
+		r.stats.Answers++
+		err = r.emit(core.Answer{
 			Inst: full,
 			Rule: rule,
 			Sup:  sup,
 			Cnf:  cnf,
 			Cvr:  cvr,
-		}); err != nil {
+		})
+		if err == nil && r.opt.Limit > 0 && r.stats.Answers >= r.opt.Limit {
+			err = errLimit
+		}
+		if err != nil {
 			if bOwned {
 				r.sc.Release(b)
 			}

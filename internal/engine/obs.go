@@ -99,18 +99,19 @@ func (r *run) beginRoot(name string) {
 }
 
 // endRoot closes the execution's root span with the run's headline
-// counters and the scratch kernel profile. Safe to defer unconditionally.
-func (r *run) endRoot() {
+// counters, the scratch kernel profile and any extra attrs (a parallel
+// chunk's worker and candidate count). Safe to defer unconditionally.
+func (r *run) endRoot(extra ...obs.Attr) {
 	if r.tr == nil || r.rootSpan < 0 {
 		return
 	}
 	ops := r.sc.Ops()
-	r.tr.End(r.rootSpan,
+	r.tr.End(r.rootSpan, append([]obs.Attr{
 		obs.AInt("bodies", r.stats.BodiesReachedRoot),
 		obs.AInt("answers", r.stats.Answers),
 		obs.AInt("semijoins", int(ops.Semijoins)),
 		obs.AInt("semijoin_counts", int(ops.SemijoinCounts)),
 		obs.AInt("key_indexes", int(ops.KeyIndexes)),
-		obs.AInt("projections", int(ops.Projections)))
+		obs.AInt("projections", int(ops.Projections))}, extra...)...)
 	r.rootSpan = -1
 }

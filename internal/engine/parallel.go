@@ -2,21 +2,24 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 
 	"github.com/mqgo/metaquery/internal/core"
+	"github.com/mqgo/metaquery/internal/hypertree"
 	"github.com/mqgo/metaquery/internal/obs"
 	"github.com/mqgo/metaquery/internal/relation"
 )
 
-// This file implements parallel enumeration: Options.Workers > 1 shards the
-// first enumeration node's candidate atoms — chunks of the
-// selectivity-ordered list handed out through a shared atomic cursor, the
-// same scheme DecideFirst uses — across a worker pool. Each worker drives
-// an independent body search (run.search) per claimed chunk through the
-// run.restrict hook and feeds one merged result channel behind
-// Stream/StreamStats/FindRules.
+// This file implements the engine's one worker pool. With Options.Workers
+// > 1, shard splits the first visited node's candidate atoms into chunks of
+// the selectivity-ordered list, handed out through a shared atomic cursor,
+// and each worker searches the chunks it claims with one independent body
+// search (run.forEachBody through the run.restrict hook). Both parallel
+// modes run on it and differ only in the consumer each worker installs:
+// the enumeration (Stream, FindRules, ExplainRun) feeds one merged result
+// channel, and DecideFirst stops every worker at the first witness.
 //
 // Correctness of the partition: the sharded scheme is a pattern scheme of
 // the first node in the visit order, so every complete body assigns it
@@ -27,18 +30,15 @@ import (
 // answer multisets are disjoint by construction and union to the
 // sequential answer multiset. Only the merge order differs.
 //
-// The cursor replaced PR 7's static contiguous-block partition: with one
-// fixed block per worker, a skewed workload could leave one worker holding
-// the whole expensive tail while the others sat idle. Chunks several times
-// smaller than a fair share let workers that finish early steal from the
-// remainder; a worker pays one extra run setup (pool fetch + restrict
-// rebind) per chunk, which the chunk sizing keeps negligible.
+// Chunks several times smaller than a fair share let workers that finish
+// early steal from the remainder, so a skewed workload cannot leave one
+// worker holding the whole expensive tail; a chunk costs its worker one
+// restrict rebind on the run it keeps for all its chunks.
 
 // candCursor hands out chunks of a shared candidate list to parallel
 // workers through an atomic cursor. Each candidate lands in exactly one
 // chunk, chunks are contiguous and in order, and a worker that finishes a
-// cheap chunk immediately claims the next — the dynamic-balancing
-// replacement for the static one-block-per-worker partition.
+// cheap chunk immediately claims the next.
 type candCursor struct {
 	cands []relation.Atom
 	chunk int
@@ -47,7 +47,7 @@ type candCursor struct {
 
 // newCandCursor sizes chunks at an eighth of a worker's fair share
 // (minimum 1): small enough that a skewed tail redistributes, large enough
-// that per-chunk run setup stays amortized.
+// that per-chunk setup stays amortized.
 func newCandCursor(cands []relation.Atom, workers int) *candCursor {
 	chunk := len(cands) / (8 * workers)
 	if chunk < 1 {
@@ -69,48 +69,42 @@ func (c *candCursor) take() []relation.Atom {
 	return c.cands[lo:hi]
 }
 
-// streamParallel runs the sharded enumeration, yielding merged answers. It
-// reports false — without yielding anything — when the query has no
-// partitionable scheme (no pattern in the first node, or fewer than two
-// candidates), in which case the caller falls back to the sequential path.
+// errNoShard reports that a query has no partitionable scheme: the first
+// visited node holds no pattern scheme with at least two candidates. The
+// caller then runs sequentially.
+var errNoShard = errors.New("engine: no partitionable scheme")
+
+// shard runs one sharded search over the epoch ep and visit order: up to
+// opt.Workers goroutines each hold one run for all the chunks they claim,
+// with its consumer installed by init. Each chunk is traced as a root span
+// under the coordName coordinator. A chunk ending in errFound or errStop
+// stops the other workers. The workers' counters are merged into st, which
+// starts out carrying the execution's Width and Nodes.
 //
-// The global Limit is enforced by the merge loop; a consumer break, the
-// limit, and outer-context cancellation all cancel the shared worker
-// context, and the loop drains the channel until every worker has exited —
-// no goroutine outlives the iteration.
-func (p *Prepared) streamParallel(ctx context.Context, st *Stats, yield func(core.Answer, error) bool) bool {
-	// One epoch for the whole sharded execution: the block partition and
-	// every worker must see the same candidate lists and database version.
-	tr := resolveTracer(ctx, p.opt)
-	ep := p.tracedEpoch(tr)
-	schemeID, cands := p.partitionScheme(ep, p.order)
-	if schemeID < 0 || len(cands) < 2 {
-		return false
+// It returns errNoShard, having done nothing, when the query has no
+// partitionable scheme. Otherwise it returns once every worker has exited:
+// with ctx's error (nil unless the caller cancelled) when a worker stopped
+// the run early, and else with the first worker error.
+func (p *Prepared) shard(ctx context.Context, ep *prepEpoch, opt Options, order []*hypertree.Node, coordName string, st *Stats, init func(*run)) error {
+	schemeID, cands := p.partitionScheme(ep, order)
+	if schemeID < 0 {
+		return errNoShard
 	}
-	workers := p.opt.Workers
-	if workers > len(cands) {
-		workers = len(cands)
-	}
+	workers := min(opt.Workers, len(cands))
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var local Stats
-	if st == nil {
-		st = &local
-	}
 	*st = Stats{Width: p.decomp.Width, Nodes: len(p.order)}
-
-	// The coordinator span parents every worker's chunk spans; its duration
-	// is the whole sharded execution including the merge drain.
-	root := tr.Begin(-1, "stream-parallel")
-	defer tr.End(root, obs.AInt("workers", workers), obs.AInt("candidates", len(cands)))
+	tr := resolveTracer(ctx, opt)
+	coord := tr.Begin(-1, coordName)
+	defer tr.End(coord, obs.AInt("workers", workers), obs.AInt("candidates", len(cands)))
 
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := make(chan core.Answer, 4*workers)
 	var (
 		mu       sync.Mutex
 		firstErr error
+		stopped  bool
 		wg       sync.WaitGroup
 	)
 	cursor := newCandCursor(cands, workers)
@@ -118,110 +112,121 @@ func (p *Prepared) streamParallel(ctx context.Context, st *Stats, yield func(cor
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			opt := p.opt
-			opt.Limit = 0 // the merge loop enforces the global limit
 			r := p.newRunEp(wctx, opt, ep)
 			defer r.release()
-			restrict := map[int][]relation.Atom{}
-			r.restrict = restrict
-			r.emit = func(a core.Answer) error {
-				select {
-				case results <- a:
-					return nil
-				case <-wctx.Done():
-					return wctx.Err()
-				}
-			}
-			// Claim chunks off the shared cursor until the list (or the
-			// run) is done; the run — with its scratch and stats — is
-			// reused across chunks, so a chunk costs one restrict rebind.
-			// Each chunk gets its own span under the coordinator so the
-			// work-stealing shape (who ran what, for how long) is visible
-			// in the trace.
-			var err error
+			r.order, r.restrictID = order, schemeID
+			init(r)
 			for block := cursor.take(); block != nil; block = cursor.take() {
-				restrict[schemeID] = block
-				r.span = r.tr.Begin(root, "chunk")
-				err = r.search()
-				r.tr.End(r.span, obs.AInt("worker", w), obs.AInt("candidates", len(block)))
-				if err != nil {
-					break
+				r.restrict = block
+				r.span = coord
+				r.beginRoot("chunk")
+				err := r.forEachBody()
+				r.endRoot(obs.AInt("worker", w), obs.AInt("candidates", len(block)))
+				mu.Lock()
+				st.merge(r.stats)
+				switch {
+				case err == errFound || err == errStop:
+					stopped = true
+					cancel()
+				case err != nil && firstErr == nil:
+					firstErr = err
 				}
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			st.merge(r.stats)
-			// A worker stopped by our own cancel (consumer break or limit)
-			// is a normal early exit; an outer-context error is real and is
-			// surfaced in-band after the merge loop.
-			if err != nil && firstErr == nil && (ctx.Err() != nil || wctx.Err() == nil) {
-				firstErr = err
+				mu.Unlock()
+				if err != nil {
+					return
+				}
+				// Counters restart per chunk, so each chunk span reports
+				// its own.
+				*r.stats = Stats{}
 			}
 		}()
 	}
+	wg.Wait()
+	if stopped {
+		// The other workers' errors are the cancel's echo.
+		return ctx.Err()
+	}
+	return firstErr
+}
+
+// streamParallel is the sharded half of enumerate: shard runs behind a
+// result channel, and this merge loop hands every answer to emit on the
+// caller's goroutine and enforces the global Limit. An emit error, the
+// limit and a cancelled ctx all stop every worker, and the loop drains the
+// channel until shard has returned, so no goroutine outlives the call. It
+// returns errNoShard, having emitted nothing, when the query has no
+// partitionable scheme.
+func (p *Prepared) streamParallel(ctx context.Context, ep *prepEpoch, st *Stats, ex *Explain, emit func(core.Answer) error) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	opt := p.opt
+	opt.Limit = 0 // the merge loop enforces the global limit
+	// A few answers of slack per worker keep the workers searching while
+	// the consumer handles an answer.
+	results := make(chan core.Answer, 4*opt.Workers)
+	send := func(a core.Answer) error {
+		select {
+		case results <- a:
+			return nil
+		case <-sctx.Done():
+			return sctx.Err()
+		}
+	}
+	var shardErr error
 	go func() {
-		wg.Wait()
-		close(results)
+		defer close(results)
+		shardErr = p.shard(sctx, ep, opt, p.order, "stream-parallel", st, func(r *run) {
+			r.explain, r.onBody, r.emit = ex, r.findHeads, send
+		})
 	}()
 
-	// The merge loop counts locally and publishes st.Answers once after the
-	// channel closes: taking the workers' merge mutex per delivered answer
-	// serialized the hot loop against worker merge(), and a caller reading
-	// Stats mid-stream raced the write anyway. Post-iteration consumers see
-	// the exact delivered count (an answer the consumer breaks on was still
-	// delivered, and counts).
+	// The merge loop counts locally and publishes st.Answers once the
+	// channel closes: the workers merge into st concurrently until then.
+	// An answer the consumer stops on was still delivered, and counts.
 	emitted, stopped := 0, false
+	var emitErr error
 	for a := range results {
 		if stopped {
 			continue // draining until every worker exits
 		}
 		emitted++
-		if !yield(a, nil) {
-			stopped = true
-			cancel()
-			continue
-		}
-		if p.opt.Limit > 0 && emitted >= p.opt.Limit {
+		emitErr = emit(a)
+		if emitErr != nil || (p.opt.Limit > 0 && emitted >= p.opt.Limit) {
 			stopped = true
 			cancel()
 		}
 	}
-	// The channel is closed: all workers have merged their counters and
-	// exited, so st is ours alone now.
+	if shardErr == errNoShard {
+		return errNoShard
+	}
 	st.Answers = emitted
-	// Surface the first real failure in-band, sequential-style — unless the
-	// consumer already stopped the iteration itself.
-	if !stopped && firstErr != nil {
-		yield(core.Answer{}, firstErr)
+	if stopped {
+		return emitErr
 	}
-	return true
+	return shardErr
 }
 
-// findRulesParallel is the FindRules adapter over the sharded stream: it
-// collects the merged answers and sorts them, so the result is identical to
-// the sequential run. It reports ok=false when the query has no
-// partitionable scheme.
-func (p *Prepared) findRulesParallel(ctx context.Context) ([]core.Answer, *Stats, bool, error) {
-	st := &Stats{}
-	var answers []core.Answer
-	var streamErr error
-	ran := p.streamParallel(ctx, st, func(a core.Answer, err error) bool {
-		if err != nil {
-			streamErr = err
-			return false
+// partitionScheme picks the scheme a sharded run partitions: the first
+// pattern scheme of the first node in the visit order, with its
+// selectivity-ordered candidate atoms. It returns -1 when the first node
+// holds no pattern scheme or that scheme has fewer than two candidates
+// (orderedCandidates lists only schemes with at least two).
+func (p *Prepared) partitionScheme(ep *prepEpoch, order []*hypertree.Node) (int, []relation.Atom) {
+	if len(order) == 0 {
+		return -1, nil
+	}
+	for _, id := range p.nodeSchemes[order[0].ID] {
+		if p.schemes[id].scheme.PredVar {
+			if c, ok := p.orderedCandidates(ep)[id]; ok {
+				return id, c
+			}
+			return -1, nil
 		}
-		answers = append(answers, a)
-		return true
-	})
-	if !ran {
-		return nil, nil, false, nil
 	}
-	if streamErr != nil {
-		return nil, nil, true, streamErr
-	}
-	core.SortAnswers(answers)
-	st.Answers = len(answers)
-	return answers, st, true, nil
+	return -1, nil
 }
 
 // merge adds o's effort counters into st. Width/Nodes/Answers describe the

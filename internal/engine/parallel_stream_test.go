@@ -12,6 +12,7 @@ import (
 
 	"github.com/mqgo/metaquery/internal/core"
 	"github.com/mqgo/metaquery/internal/gen"
+	"github.com/mqgo/metaquery/internal/rat"
 	"github.com/mqgo/metaquery/internal/relation"
 )
 
@@ -306,4 +307,104 @@ func TestParallelStreamBreak(t *testing.T) {
 		t.Fatalf("streamed %d answers before break, want 1", got)
 	}
 	checkGoroutines(t, baseline)
+}
+
+// cancelOnErr is a context cancelled by the first call of its Err. Sharded
+// workers consult only the driver's child context, so in a sharded run the
+// first such call is the driver's own, after every worker has exited: it
+// models an outer cancel landing just after a witness was found.
+type cancelOnErr struct {
+	context.Context
+	cancel context.CancelFunc
+}
+
+func (c cancelOnErr) Err() error {
+	c.cancel()
+	return c.Context.Err()
+}
+
+// TestShardContract pins what the one worker pool guarantees both parallel
+// modes: a nil ctx works, an outer cancel surfaces (in-band for the stream,
+// as the returned error for the decider), a witness found before the outer
+// cancel still wins, StreamStats carries Width and Nodes from the first
+// yield, and no case leaves a goroutine behind.
+func TestShardContract(t *testing.T) {
+	prep, full := bigParallelScenario(t)
+	no := rat.New(1, 1) // sup > 1 is a certain NO: every chunk runs
+	cancelled := func() context.Context {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		return ctx
+	}
+	for _, c := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"stream/nil-ctx", func(t *testing.T) {
+			n := 0
+			for _, err := range prep.Stream(nil) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				n++
+			}
+			if n != len(full) {
+				t.Fatalf("streamed %d answers, want %d", n, len(full))
+			}
+		}},
+		{"decide/nil-ctx", func(t *testing.T) {
+			if yes, _, err := prep.DecideFirst(nil, core.Sup, no); err != nil || yes {
+				t.Fatalf("NO decision: yes=%v err=%v", yes, err)
+			}
+			if yes, wit, err := prep.DecideFirst(nil, core.Sup, rat.Zero); err != nil || !yes || wit == nil {
+				t.Fatalf("YES decision: yes=%v witness=%v err=%v", yes, wit, err)
+			}
+		}},
+		{"stream/outer-cancel", func(t *testing.T) {
+			var last error
+			for _, err := range prep.Stream(cancelled()) {
+				if err == nil {
+					t.Fatal("answer streamed from a cancelled context")
+				}
+				last = err
+			}
+			if !errors.Is(last, context.Canceled) {
+				t.Fatalf("stream error = %v, want context.Canceled", last)
+			}
+		}},
+		{"decide/outer-cancel", func(t *testing.T) {
+			yes, _, st, err := prep.DecideFirstStats(cancelled(), core.Sup, no)
+			if yes || !errors.Is(err, context.Canceled) || st == nil {
+				t.Fatalf("yes=%v stats=%v err=%v, want NO with stats and context.Canceled", yes, st, err)
+			}
+		}},
+		{"decide/witness-before-cancel", func(t *testing.T) {
+			inner, cancel := context.WithCancel(context.Background())
+			yes, wit, err := prep.DecideFirst(cancelOnErr{inner, cancel}, core.Sup, rat.Zero)
+			if err != nil || !yes || wit == nil {
+				t.Fatalf("yes=%v witness=%v err=%v, want the witness to win", yes, wit, err)
+			}
+		}},
+		{"stream/first-yield-stats", func(t *testing.T) {
+			st := Stats{Width: -1, Nodes: -1, Answers: -1}
+			for _, err := range prep.StreamStats(context.Background(), &st) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Width != prep.Width() || st.Nodes != len(prep.order) {
+					t.Fatalf("at first yield Width=%d Nodes=%d, want %d and %d", st.Width, st.Nodes, prep.Width(), len(prep.order))
+				}
+				break
+			}
+			if st.Answers != 1 {
+				t.Fatalf("Answers = %d after breaking on the first answer, want 1", st.Answers)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			c.run(t)
+			checkGoroutines(t, baseline)
+		})
+	}
 }

@@ -294,28 +294,12 @@ func (p *Prepared) orderedCandidates(ep *prepEpoch) map[int][]relation.Atom {
 	return ep.candOrder
 }
 
-// newRun builds the per-execution search state for the prepared options.
-// ctx may be nil.
-func (p *Prepared) newRun(ctx context.Context) *run {
-	return p.newRunOpt(ctx, p.opt)
-}
-
 // runPool recycles run values — with their operator scratch (and its
 // recycled table arenas), node-table maps, and staging buffers — across
 // executions of every Prepared, so a warmed-up process runs steady-state
 // searches without allocating per-run state. Runs are returned by
 // run.release, which clears all table and query references first.
 var runPool = sync.Pool{New: func() any { return new(run) }}
-
-// newRunOpt is newRun with the effective options overridden for this
-// execution (DecideFirst swaps in single-index thresholds without
-// re-preparing). Everything option-independent — decomposition, node
-// order, caches — is shared with the Prepared. The returned run must be
-// handed back via run.release when the execution finishes; its Stats are
-// caller-owned and survive the release.
-func (p *Prepared) newRunOpt(ctx context.Context, opt Options) *run {
-	return p.newRunEp(ctx, opt, p.tracedEpoch(resolveTracer(ctx, opt)))
-}
 
 // nodeEstimates returns the epoch's per-node estimated λ-join output
 // sizes (nodeEstimate over every decomposition node), computed on first
@@ -331,10 +315,15 @@ func (p *Prepared) nodeEstimates(ep *prepEpoch) map[int]float64 {
 	return ep.nodeEst
 }
 
-// newRunEp is newRunOpt with the epoch pinned by the caller: the parallel
-// paths resolve one epoch up front and hand it to every worker run, so all
-// blocks of one sharded execution search the same database version even if
-// an Apply lands mid-flight.
+// newRunEp builds the per-execution search state on the epoch ep with the
+// effective options opt (DecideFirst swaps in single-index thresholds
+// without re-preparing); the sharded paths resolve one epoch up front and
+// hand it to every worker run, so all chunks of one execution search the
+// same database version even if an Apply lands mid-flight. Everything
+// option-independent — decomposition, node order, caches — is shared with
+// the Prepared. ctx may be nil. The returned run must be handed back via
+// run.release when the execution finishes; its Stats are caller-owned and
+// survive the release.
 func (p *Prepared) newRunEp(ctx context.Context, opt Options, ep *prepEpoch) *run {
 	if ctx == nil {
 		ctx = context.Background()
@@ -368,28 +357,63 @@ func (p *Prepared) FindRules(ctx context.Context) ([]core.Answer, error) {
 // search is sharded across workers (see Stream) and the merged answers are
 // sorted afterwards, so the result is identical to the sequential run.
 func (p *Prepared) FindRulesStats(ctx context.Context) ([]core.Answer, *Stats, error) {
-	if p.opt.Workers > 1 {
-		if answers, st, ok, err := p.findRulesParallel(ctx); ok {
-			return answers, st, err
-		}
-		// No partitionable scheme: fall through to the sequential run.
-	}
-	r := p.newRun(ctx)
-	defer r.release()
-	r.beginRoot("findrules")
-	defer r.endRoot()
-	var answers []core.Answer
-	r.emit = func(a core.Answer) error {
-		answers = append(answers, a)
-		if r.opt.Limit > 0 && len(answers) >= r.opt.Limit {
-			return errLimit
-		}
-		return nil
-	}
-	if err := r.search(); err != nil && err != errLimit {
+	answers, st, err := p.collect(ctx, nil)
+	if err != nil {
 		return nil, nil, err
 	}
+	return answers, st, nil
+}
+
+// collect is the collecting consumer of enumerate behind FindRules and
+// ExplainRun: it gathers every answer and sorts them by rule text, so the
+// result does not depend on the worker count. On error it returns the
+// answers found so far.
+func (p *Prepared) collect(ctx context.Context, ex *Explain) ([]core.Answer, *Stats, error) {
+	var answers []core.Answer
+	st, err := p.enumerate(ctx, "findrules", nil, ex, func(a core.Answer) error {
+		answers = append(answers, a)
+		return nil
+	})
 	core.SortAnswers(answers)
-	r.stats.Answers = len(answers)
-	return answers, r.stats, nil
+	return answers, st, err
+}
+
+// enumerate is the one answer producer behind Stream, FindRules and
+// ExplainRun: the Figure 4 search with head enumeration, sharded across
+// Options.Workers when the query partitions (parallel.go) and sequential
+// under a root span named root otherwise, handing every answer to emit in
+// discovery order. Options.Limit, or emit returning errStop, ends the run
+// early without an error. The counters are recorded into st when it is
+// non-nil (into the run's own Stats otherwise) and returned. A non-nil ex
+// is seeded from the execution's epoch and observes every node table.
+func (p *Prepared) enumerate(ctx context.Context, root string, st *Stats, ex *Explain, emit func(core.Answer) error) (*Stats, error) {
+	ep := p.tracedEpoch(resolveTracer(ctx, p.opt))
+	if ex != nil {
+		ex.seed(p, ep)
+	}
+	if p.opt.Workers > 1 {
+		if st == nil {
+			st = &Stats{}
+		}
+		if err := p.streamParallel(ctx, ep, st, ex, emit); err != errNoShard {
+			if err == errStop {
+				err = nil
+			}
+			return st, err
+		}
+	}
+	r := p.newRunEp(ctx, p.opt, ep)
+	defer r.release()
+	r.beginRoot(root)
+	defer r.endRoot()
+	if st != nil {
+		*st = *r.stats
+		r.stats = st
+	}
+	r.explain, r.emit = ex, emit
+	err := r.search()
+	if err == errStop || err == errLimit {
+		err = nil
+	}
+	return r.stats, err
 }

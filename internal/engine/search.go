@@ -65,10 +65,11 @@ type run struct {
 	// rTables[nodeID] is r[i] of Figure 4 for the current partial body.
 	rTables map[int]*relation.Table
 
-	// restrict, when non-nil, overrides the candidate atoms of individual
-	// schemes: the parallel DecideFirst workers each search one block of
-	// the partitioned candidate list through this hook.
-	restrict map[int][]relation.Atom
+	// restrict, when non-nil, overrides the candidate atoms of the scheme
+	// restrictID: each sharded worker (parallel.go) searches the chunk of
+	// the partitioned candidate list it claimed through this hook.
+	restrict   []relation.Atom
+	restrictID int
 
 	// explain, when non-nil, accumulates per-node estimate-vs-actual
 	// observations as node tables are computed (explain.go).
@@ -227,10 +228,8 @@ func (r *run) instantiateNode(node *hypertree.Node, schemeIDs []int, j int, sigm
 // engine statistics) when the scheme has one, falling back to the raw
 // candidate index order.
 func (r *run) candidatesFor(schemeID int, bs bodyScheme) []relation.Atom {
-	if r.restrict != nil {
-		if c, ok := r.restrict[schemeID]; ok {
-			return c
-		}
+	if r.restrict != nil && schemeID == r.restrictID {
+		return r.restrict
 	}
 	if c, ok := r.p.orderedCandidates(r.ep)[schemeID]; ok {
 		return c

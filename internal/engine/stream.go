@@ -32,36 +32,17 @@ func (p *Prepared) Stream(ctx context.Context) iter.Seq2[core.Answer, error] {
 // into st (when non-nil) as the search progresses, so an early-exiting
 // consumer can observe how much of the candidate space was actually
 // explored. For workers > 1 the counters are the sums over all workers,
-// merged as each worker finishes.
+// merged as each chunk finishes; Width and Nodes are set before the first
+// answer is yielded.
 func (p *Prepared) StreamStats(ctx context.Context, st *Stats) iter.Seq2[core.Answer, error] {
 	return func(yield func(core.Answer, error) bool) {
-		if p.opt.Workers > 1 && p.streamParallel(ctx, st, yield) {
-			return
-		}
-		r := p.newRun(ctx)
-		defer r.release()
-		r.beginRoot("stream")
-		defer r.endRoot()
-		if st != nil {
-			*st = *r.stats
-			r.stats = st
-		}
-		emitted := 0
-		r.emit = func(a core.Answer) error {
-			// Count before yielding: an answer the consumer breaks on was
-			// still delivered, and must show in st.Answers.
-			emitted++
-			r.stats.Answers = emitted
+		_, err := p.enumerate(ctx, "stream", st, nil, func(a core.Answer) error {
 			if !yield(a, nil) {
 				return errStop
 			}
-			if r.opt.Limit > 0 && emitted >= r.opt.Limit {
-				return errLimit
-			}
 			return nil
-		}
-		err := r.search()
-		if err != nil && err != errStop && err != errLimit {
+		})
+		if err != nil {
 			yield(core.Answer{}, err)
 		}
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -163,37 +164,58 @@ func TestTracedDecideApproxEscalation(t *testing.T) {
 	}
 }
 
-// TestTracedParallelChunks checks the sharded enumeration's trace shape:
-// one stream-parallel coordinator span parenting one chunk span per claimed
-// cursor chunk, each chunk naming its worker.
+// TestTracedParallelChunks checks the trace shape both parallel modes
+// share: one coordinator span (stream-parallel for the enumeration,
+// decide-parallel for the decider) parenting one chunk span per claimed
+// cursor chunk, each chunk a run root carrying its worker, its candidate
+// count and the kernel profile. The decision is a NO, so every chunk runs.
 func TestTracedParallelChunks(t *testing.T) {
 	prep, full := bigParallelScenario(t)
-	tr := obs.NewTracer()
-	ctx := obs.WithTracer(context.Background(), tr)
-	answers, _, err := prep.FindRulesStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(answers) != len(full) {
-		t.Fatalf("traced parallel run: %d answers, want %d", len(answers), len(full))
-	}
-	roots := tr.Tree()
-	coord := spansNamed(roots, "stream-parallel")
-	if len(coord) != 1 {
-		t.Fatalf("stream-parallel spans: %d, want 1\n%s", len(coord), obs.RenderTree(roots))
-	}
-	chunks := spansNamed(roots, "chunk")
-	if len(chunks) < 2 {
-		t.Fatalf("chunk spans: %d, want several", len(chunks))
-	}
-	for _, c := range chunks {
-		if c.Attrs["worker"] == "" || c.Attrs["candidates"] == "" {
-			t.Fatalf("chunk span missing worker/candidates: %v", c.Attrs)
-		}
-	}
-	// Every chunk hangs off the coordinator.
-	if got := len(coord[0].Children); got != len(chunks) {
-		t.Fatalf("coordinator has %d children, %d chunk spans recorded", got, len(chunks))
+	for _, c := range []struct {
+		coord string
+		run   func(ctx context.Context) error
+	}{
+		{"stream-parallel", func(ctx context.Context) error {
+			answers, _, err := prep.FindRulesStats(ctx)
+			if err == nil && len(answers) != len(full) {
+				return fmt.Errorf("traced parallel run: %d answers, want %d", len(answers), len(full))
+			}
+			return err
+		}},
+		{"decide-parallel", func(ctx context.Context) error {
+			yes, _, err := prep.DecideFirst(ctx, core.Sup, rat.New(1, 1))
+			if err == nil && yes {
+				return fmt.Errorf("sup > 1 decided YES")
+			}
+			return err
+		}},
+	} {
+		t.Run(c.coord, func(t *testing.T) {
+			tr := obs.NewTracer()
+			if err := c.run(obs.WithTracer(context.Background(), tr)); err != nil {
+				t.Fatal(err)
+			}
+			roots := tr.Tree()
+			coord := spansNamed(roots, c.coord)
+			if len(coord) != 1 {
+				t.Fatalf("%s spans: %d, want 1\n%s", c.coord, len(coord), obs.RenderTree(roots))
+			}
+			chunks := spansNamed(roots, "chunk")
+			if len(chunks) < 2 {
+				t.Fatalf("chunk spans: %d, want several", len(chunks))
+			}
+			for _, ch := range chunks {
+				for _, k := range []string{"worker", "candidates", "semijoins"} {
+					if ch.Attrs[k] == "" {
+						t.Fatalf("chunk span missing %s: %v", k, ch.Attrs)
+					}
+				}
+			}
+			// Every chunk hangs off the coordinator.
+			if got := len(coord[0].Children); got != len(chunks) {
+				t.Fatalf("coordinator has %d children, %d chunk spans recorded", got, len(chunks))
+			}
+		})
 	}
 }
 
