@@ -424,7 +424,9 @@ func BenchmarkParallelStream(b *testing.B) {
 // answered through enumeration pays the full materialize-then-filter
 // cost). k = 0 is a YES on this workload for every index; k = 1 is a
 // certain NO under the strict comparison, forcing both paths to exhaust
-// the body space.
+// the body space. The approx rows run the same decisions through the
+// sampled ε–δ fraction test (DecideApprox at ε = δ = 0.1), pinning the
+// sampled path's allocations next to the exact one's.
 func BenchmarkDecideFirst(b *testing.B) {
 	db := workload.Random{Relations: 5, Arity: 2, Tuples: 40, Domain: 12, Seed: 6}.Build()
 	mq := workload.MQ4()
@@ -437,6 +439,7 @@ func BenchmarkDecideFirst(b *testing.B) {
 	}{
 		{"yes/sup", core.Sup, rat.Zero},
 		{"yes/cnf", core.Cnf, rat.Zero},
+		{"yes/cvr", core.Cvr, rat.Zero},
 		{"no/sup", core.Sup, rat.New(1, 1)},
 		{"no/cnf", core.Cnf, rat.New(1, 1)},
 		{"no/cvr", core.Cvr, rat.New(1, 1)},
@@ -449,12 +452,19 @@ func BenchmarkDecideFirst(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Warm both paths once so neither benchmark pays the shared
-		// engine-level cache fills (atom tables, join plans) for the other.
+		apxPrep, err := eng.Prepare(mq, engine.Options{Type: core.Type0, Approx: engine.ApproxOptions{Epsilon: 0.1, Delta: 0.1}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Warm every path once so no benchmark pays the shared
+		// engine-level cache fills (atom tables, join plans) for another.
 		if _, _, err := prep.DecideFirst(ctx, c.ix, c.k); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := limPrep.FindRules(ctx); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := apxPrep.DecideApprox(ctx, c.ix, c.k); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(c.name+"/decide-first", func(b *testing.B) {
@@ -469,6 +479,14 @@ func BenchmarkDecideFirst(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := limPrep.FindRules(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/approx", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := apxPrep.DecideApprox(ctx, c.ix, c.k); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -22,9 +22,12 @@
 // printed; the exit status is 0 for YES and 3 for NO, so scripts can
 // branch on the verdict. -stats prints the per-verdict search counters.
 //
-// -workers N (decision mode only) partitions the first decomposition
-// node's candidate atoms across N goroutines sharing a first-witness
-// cancellation; the verdict is identical to the sequential run.
+// -workers N partitions the first decomposition node's candidate atoms
+// across N goroutines: in decision mode they share a first-witness
+// cancellation, in enumeration (and -explain) mode their answers are
+// merged and sorted. Verdicts, answers and the explain report are
+// identical to the sequential run. The naive engine is sequential and
+// rejects -workers.
 //
 // -approx-eps/-approx-delta (decision mode only) switch the decision to
 // the sampling ε–δ path: candidate fractions are estimated from uniform
@@ -93,7 +96,7 @@ func main() {
 		timeout = flag.Duration("timeout", 0, "bound the search wall-clock, e.g. 2s (0 = none)")
 		decide  = flag.String("decide", "", "decision mode: answer whether index sup|cnf|cvr exceeds -k instead of enumerating")
 		kBound  = flag.String("k", "", "decision bound for -decide (strict: index > k; default 0)")
-		workers = flag.Int("workers", 0, "decision workers: partition the first node's candidates across N goroutines (-decide only; <=1 = sequential)")
+		workers = flag.Int("workers", 0, "partition the first node's candidates across N goroutines (findRules engine only; <=1 = sequential)")
 		explain = flag.Bool("explain", false, "print the chosen join order with per-node cost estimates vs. actual row counts (enumeration mode only)")
 		apxEps  = flag.Float64("approx-eps", 0, "approximate decision half-band ε in (0,1): sample the fractions instead of computing them exactly (-decide only; needs -approx-delta)")
 		apxDel  = flag.Float64("approx-delta", 0, "approximate decision error bound δ in (0,1) (-decide only; needs -approx-eps)")
@@ -131,8 +134,6 @@ func main() {
 		// The decision bound means nothing without -decide; reject it
 		// rather than silently running an unconstrained enumeration.
 		err = fmt.Errorf("-k requires -decide (use -min-sup/-min-cnf/-min-cvr for enumeration thresholds)")
-	} else if *workers != 0 {
-		err = fmt.Errorf("-workers requires -decide (enumeration runs are sequential)")
 	} else if *apxEps != 0 || *apxDel != 0 || *apxMax != 0 {
 		err = fmt.Errorf("-approx-eps/-approx-delta/-approx-max-samples require -decide (enumeration is always exact)")
 	} else if *explain && *naive {
@@ -141,9 +142,9 @@ func main() {
 		err = fmt.Errorf("-trace does not apply with -naive (the naive engine records no spans)")
 	} else {
 		if *explain {
-			err = runExplain(*dbDir, *query, *typN, *minSup, *minCnf, *minCvr, *limit, *showSts, *timeout)
+			err = runExplain(*dbDir, *query, *typN, *minSup, *minCnf, *minCvr, *limit, *workers, *showSts, *timeout)
 		} else {
-			err = runTimed(*dbDir, *query, *typN, *minSup, *minCnf, *minCvr, *naive, *limit, *showSts, *timeout)
+			err = runTimed(*dbDir, *query, *typN, *minSup, *minCnf, *minCvr, *naive, *limit, *workers, *showSts, *timeout)
 		}
 		printTrace()
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -242,7 +243,7 @@ func runDecide(dbDir, query string, typN int, index, kBound string, workers int,
 // surface of the cardinality-statistics subsystem: a node whose actual
 // rows dwarf its estimate is where the planner's model diverges from the
 // data.
-func runExplain(dbDir, query string, typN int, minSup, minCnf, minCvr string, limit int, showStats bool, timeout time.Duration) error {
+func runExplain(dbDir, query string, typN int, minSup, minCnf, minCvr string, limit, workers int, showStats bool, timeout time.Duration) error {
 	db, mq, typ, err := loadQuery(dbDir, query, typN)
 	if err != nil {
 		return err
@@ -255,7 +256,7 @@ func runExplain(dbDir, query string, typN int, minSup, minCnf, minCvr string, li
 	ctx, cancel := searchContext(timeout)
 	defer cancel()
 
-	prep, err := metaquery.NewEngine(db).Prepare(mq, metaquery.Options{Type: typ, Thresholds: th, Limit: limit})
+	prep, err := metaquery.NewEngine(db).Prepare(mq, metaquery.Options{Type: typ, Thresholds: th, Limit: limit, Workers: workers})
 	if err != nil {
 		return err
 	}
@@ -374,10 +375,13 @@ func parseThresholds(minSup, minCnf, minCvr string) (metaquery.Thresholds, error
 // run answers the query without a time bound. It is the historical entry
 // point, kept for compatibility; runTimed is the full CLI.
 func run(dbDir, query string, typN int, minSup, minCnf, minCvr string, naive bool, limit int, showStats bool) error {
-	return runTimed(dbDir, query, typN, minSup, minCnf, minCvr, naive, limit, showStats, 0)
+	return runTimed(dbDir, query, typN, minSup, minCnf, minCvr, naive, limit, 0, showStats, 0)
 }
 
-func runTimed(dbDir, query string, typN int, minSup, minCnf, minCvr string, naive bool, limit int, showStats bool, timeout time.Duration) error {
+func runTimed(dbDir, query string, typN int, minSup, minCnf, minCvr string, naive bool, limit, workers int, showStats bool, timeout time.Duration) error {
+	if naive && workers != 0 {
+		return fmt.Errorf("-workers does not apply with -naive (the naive engine is sequential)")
+	}
 	db, mq, typ, err := loadQuery(dbDir, query, typN)
 	if err != nil {
 		return err
@@ -399,7 +403,7 @@ func runTimed(dbDir, query string, typN int, minSup, minCnf, minCvr string, naiv
 		}
 	} else {
 		eng := metaquery.NewEngine(db)
-		prep, err := eng.Prepare(mq, metaquery.Options{Type: typ, Thresholds: th, Limit: limit})
+		prep, err := eng.Prepare(mq, metaquery.Options{Type: typ, Thresholds: th, Limit: limit, Workers: workers})
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/mqgo/metaquery"
@@ -130,17 +132,17 @@ func TestRunDecideApprox(t *testing.T) {
 
 func TestRunExplain(t *testing.T) {
 	dir := writeTelecomCSV(t)
-	if err := runExplain(dir, "R(X,Z) <- P(X,Y), Q(Y,Z)", 0, "0", "", "", 0, true, 0); err != nil {
+	if err := runExplain(dir, "R(X,Z) <- P(X,Y), Q(Y,Z)", 0, "0", "", "", 0, 0, true, 0); err != nil {
 		t.Fatalf("explain run failed: %v", err)
 	}
 	// Validation errors still surface through the explain path.
-	if err := runExplain("", "R(X) <- P(X)", 0, "", "", "", 0, false, 0); err == nil {
+	if err := runExplain("", "R(X) <- P(X)", 0, "", "", "", 0, 0, false, 0); err == nil {
 		t.Error("explain with missing -db accepted")
 	}
-	if err := runExplain(dir, "R(X) <- P(X)", 5, "", "", "", 0, false, 0); err == nil {
+	if err := runExplain(dir, "R(X) <- P(X)", 5, "", "", "", 0, 0, false, 0); err == nil {
 		t.Error("explain with bad -type accepted")
 	}
-	if err := runExplain(dir, "R(X,Z) <- P(X,Y), Q(Y,Z)", 0, "x/y", "", "", 0, false, 0); err == nil {
+	if err := runExplain(dir, "R(X,Z) <- P(X,Y), Q(Y,Z)", 0, "x/y", "", "", 0, 0, false, 0); err == nil {
 		t.Error("explain with bad threshold accepted")
 	}
 }
@@ -167,5 +169,58 @@ func TestRunDecideValidation(t *testing.T) {
 		if err := fn(); err == nil || err == errNoVerdict {
 			t.Errorf("%s: got %v, want a hard error", name, err)
 		}
+	}
+}
+
+// captureStdout returns what fn prints to standard output, failing the
+// test when fn returns an error.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r) // a read error shows as a short capture
+		out <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	ferr := fn()
+	os.Stdout = stdout
+	w.Close()
+	got := <-out
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return got
+}
+
+// TestRunWorkers checks that -workers reaches the parallel enumeration:
+// the rule listing and the -explain per-node report equal the sequential
+// ones, and the sequential naive engine rejects the flag.
+func TestRunWorkers(t *testing.T) {
+	dir := writeTelecomCSV(t)
+	const q = "R(X,Z) <- P(X,Y), Q(Y,Z)"
+	seq := captureStdout(t, func() error { return runTimed(dir, q, 0, "", "", "", false, 0, 0, false, 0) })
+	par := captureStdout(t, func() error { return runTimed(dir, q, 0, "", "", "", false, 0, 2, false, 0) })
+	if !strings.Contains(seq, "speaks(X,Z) <- citizen(X,Y), language(Y,Z)") {
+		t.Fatalf("sequential run misses the Figure 1 rule:\n%s", seq)
+	}
+	if par != seq {
+		t.Errorf("-workers 2 printed\n%s\nsequential printed\n%s", par, seq)
+	}
+	seqEx := captureStdout(t, func() error { return runExplain(dir, q, 0, "0", "", "", 0, 0, false, 0) })
+	parEx := captureStdout(t, func() error { return runExplain(dir, q, 0, "0", "", "", 0, 2, false, 0) })
+	if !strings.Contains(seqEx, "# plan: ") {
+		t.Fatalf("explain run printed no plan:\n%s", seqEx)
+	}
+	if parEx != seqEx {
+		t.Errorf("-explain -workers 2 printed\n%s\nsequential printed\n%s", parEx, seqEx)
+	}
+	if err := runTimed(dir, q, 0, "", "", "", true, 0, 2, false, 0); err == nil {
+		t.Error("-naive -workers 2 accepted")
 	}
 }

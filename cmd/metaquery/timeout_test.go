@@ -30,7 +30,7 @@ func writeBigCSV(t *testing.T) string {
 
 func TestRunTimedDeadline(t *testing.T) {
 	dir := writeBigCSV(t)
-	err := runTimed(dir, "R(X,W) <- P(X,Y), Q(Y,Z), S(Z,W)", 2, "", "", "", false, 0, false, 20*time.Millisecond)
+	err := runTimed(dir, "R(X,W) <- P(X,Y), Q(Y,Z), S(Z,W)", 2, "", "", "", false, 0, 0, false, 20*time.Millisecond)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -38,7 +38,7 @@ func TestRunTimedDeadline(t *testing.T) {
 
 func TestRunTimedGenerousDeadlineSucceeds(t *testing.T) {
 	dir := writeTelecomCSV(t)
-	if err := runTimed(dir, "R(X,Z) <- P(X,Y), Q(Y,Z)", 0, "1/2", "", "", false, 0, true, time.Minute); err != nil {
+	if err := runTimed(dir, "R(X,Z) <- P(X,Y), Q(Y,Z)", 0, "1/2", "", "", false, 0, 0, true, time.Minute); err != nil {
 		t.Fatalf("run with ample timeout failed: %v", err)
 	}
 }
@@ -48,7 +48,7 @@ func TestRunTimedGenerousDeadlineSucceeds(t *testing.T) {
 // report and partial answers, exactly like the plain enumeration path.
 func TestRunExplainDeadline(t *testing.T) {
 	dir := writeBigCSV(t)
-	err := runExplain(dir, "R(X,W) <- P(X,Y), Q(Y,Z), S(Z,W)", 2, "", "", "", 0, false, 20*time.Millisecond)
+	err := runExplain(dir, "R(X,W) <- P(X,Y), Q(Y,Z), S(Z,W)", 2, "", "", "", 0, 0, false, 20*time.Millisecond)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("explain: err = %v, want context.DeadlineExceeded", err)
 	}
@@ -56,7 +56,7 @@ func TestRunExplainDeadline(t *testing.T) {
 
 func TestRunTimedNaiveDeadline(t *testing.T) {
 	dir := writeBigCSV(t)
-	err := runTimed(dir, "R(X,W) <- P(X,Y), Q(Y,Z), S(Z,W)", 2, "", "", "", true, 0, false, 20*time.Millisecond)
+	err := runTimed(dir, "R(X,W) <- P(X,Y), Q(Y,Z), S(Z,W)", 2, "", "", "", true, 0, 0, false, 20*time.Millisecond)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("naive: err = %v, want context.DeadlineExceeded", err)
 	}

@@ -5,9 +5,11 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/mqgo/metaquery/internal/approx"
 	"github.com/mqgo/metaquery/internal/core"
 	"github.com/mqgo/metaquery/internal/hypertree"
 	"github.com/mqgo/metaquery/internal/rat"
+	"github.com/mqgo/metaquery/internal/relation"
 	"github.com/mqgo/metaquery/internal/stats"
 )
 
@@ -37,7 +39,8 @@ func (p *Prepared) DecideFirst(ctx context.Context, ix core.Index, k rat.Rat) (b
 
 // DecideFirstStats is DecideFirst additionally returning the run's search
 // counters, so the cost of YES and NO verdicts can be observed (and
-// benchmarked) separately.
+// benchmarked) separately. It runs the engine's one decider with the exact
+// fraction test (DecideApproxStats runs it with the sampled one).
 //
 // With Options.Workers > 1 the decision runs on the engine's one worker
 // pool (parallel.go), the same sharded driver the parallel enumeration
@@ -48,19 +51,32 @@ func (p *Prepared) DecideFirst(ctx context.Context, ix core.Index, k rat.Rat) (b
 // exactly); the witness may differ when several exist, and the returned
 // counters are the sums over all workers.
 func (p *Prepared) DecideFirstStats(ctx context.Context, ix core.Index, k rat.Rat) (bool, *core.Instantiation, *Stats, error) {
+	return p.decide(ctx, ix, k, false)
+}
+
+// decide is the driver behind DecideFirstStats and DecideApproxStats: one
+// first-witness run of the body search in the decision visit order, under
+// the root span "decide", or "decide-approx" when sampled selects the
+// sampled fraction test. Exact decisions shard across Options.Workers > 1;
+// sampled ones run sequentially, because their sampler seeds follow the
+// walk order (decider.nextSeed), which a sharded run would not replay.
+func (p *Prepared) decide(ctx context.Context, ix core.Index, k rat.Rat, sampled bool) (bool, *core.Instantiation, *Stats, error) {
 	opt := p.opt
 	opt.Thresholds = core.SingleIndex(ix, k)
 	opt.Limit = 0 // unused here: the decision run terminates via errFound
 	ep := p.tracedEpoch(resolveTracer(ctx, opt))
 	order := p.decideOrder(ep)
-	if opt.Workers > 1 {
+	root := "decide"
+	if sampled {
+		root = "decide-approx"
+	} else if opt.Workers > 1 {
 		var (
 			mu      sync.Mutex
 			witness *core.Instantiation
 		)
 		st := &Stats{}
 		err := p.shard(ctx, ep, opt, order, "decide-parallel", st, func(r *run) {
-			d := &decider{run: r, ix: ix, k: k}
+			d := newDecider(r, ix, k, false)
 			r.onBody = func(b *body) error {
 				err := d.onBody(b)
 				if err == errFound {
@@ -87,9 +103,9 @@ func (p *Prepared) DecideFirstStats(ctx context.Context, ix core.Index, k rat.Ra
 	r := p.newRunEp(ctx, opt, ep)
 	defer r.release()
 	r.order = order
-	r.beginRoot("decide")
+	r.beginRoot(root)
 	defer r.endRoot()
-	d := &decider{run: r, ix: ix, k: k}
+	d := newDecider(r, ix, k, sampled)
 	r.onBody = d.onBody
 	err := r.forEachBody()
 	if err != nil && err != errFound {
@@ -102,122 +118,118 @@ func (p *Prepared) DecideFirstStats(ctx context.Context, ix core.Index, k rat.Ra
 	return d.witness != nil, d.witness, r.stats, nil
 }
 
-// decider is the first-witness consumer of the body-search iterator.
+// decider is the first-witness consumer of the body-search iterator, the
+// one decider behind DecideFirst and DecideApprox. The two differ only in
+// the test deciding whether one fraction |t ⋉ u| / |t| exceeds k: the
+// exact test counts it (KeyCounts.PairCounts for heads, SemijoinCountS for
+// support); the sampled test (decide_approx.go) estimates it from uniform
+// row samples under the Options.Approx (ε, δ) contract.
 type decider struct {
 	run     *run
 	ix      core.Index
 	k       rat.Rat
 	witness *core.Instantiation
+
+	// sampled selects the sampled fraction test; the fields below serve it
+	// only. kf is k as a float, par the normalized (ε, δ, budget) triple,
+	// and seedBase/seedCtr the walk-order sampler seeds (nextSeed).
+	sampled  bool
+	kf       float64
+	par      approx.Params
+	seedBase uint64
+	seedCtr  uint64
+
+	// Reused per-fraction staging (probe tuple and column positions) and
+	// per-body stratification buffers of the sampled test.
+	buf  relation.Tuple
+	pos  []int
+	raS  []*relation.Table
+	uS   []*relation.Table
+	estS []float64
+}
+
+// newDecider returns the decider for one run, with the sampled fraction
+// test when sampled (configured from the run's Options.Approx) and the
+// exact one otherwise.
+func newDecider(r *run, ix core.Index, k rat.Rat, sampled bool) *decider {
+	d := &decider{run: r, ix: ix, k: k, sampled: sampled}
+	if sampled {
+		d.kf = k.Float64()
+		d.par = approxParams(r.opt.Approx)
+		d.seedBase = approxSeedBase(r.opt.Approx.Seed, ix, k)
+	}
+	return d
 }
 
 // onBody checks one complete body instantiation for a witness and unwinds
 // the search with errFound as soon as it finds one. Support reads the
-// reduced node tables directly (no projection copy, no body join); cnf and
-// cvr take both head-dependent counts from one counting pass per head,
-// never materializing h' = h ⋉ b.
+// reduced node tables directly (no body join); cnf and cvr walk the heads
+// agreeing with the body, testing each against the body join.
 func (d *decider) onBody(b *body) error {
 	r := d.run
-	switch d.ix {
-	case core.Sup:
-		// Support is head-independent: the body alone decides, and the
-		// reduced node tables answer the strict comparison without ever
-		// materializing the body join.
-		exceeds, err := r.supportExceeds(b.sigma, b.s, d.k)
-		if err != nil {
-			return err
-		}
-		if !exceeds {
-			r.stats.BodiesPrunedSupport++
-			return nil
-		}
-		wit, ok := r.completeHead(b.sigma)
-		if !ok {
-			// No head assignment agrees with this body (e.g. the head's
-			// predicate variable is pinned to a relation with no candidate
-			// atoms); keep searching.
-			return nil
-		}
-		r.stats.HeadsSkipped++
-		d.witness = wit
-		return errFound
-	default: // core.Cnf, core.Cvr
-		return d.headSearch(b)
+	if d.ix != core.Sup {
+		return r.forEachHead(b, d.headExceeds, d.found)
 	}
-}
-
-// headSearch materializes the body join once and walks the head candidates
-// agreeing with the body, stopping at the first candidate whose queried
-// index exceeds k. Both head-dependent indices come from one
-// KeyCounts.PairCounts pass, which indexes the body at most once for all
-// its heads.
-func (d *decider) headSearch(b *body) error {
-	r := d.run
-	bj, bjOwned, err := r.bodyJoin(b.sigma, b.s)
+	// Support is head-independent: the body alone decides, and any
+	// agreeing head completes the witness.
+	exceeds, err := d.supportExceeds(b)
 	if err != nil {
 		return err
 	}
-	r.headIdx.Reset(r.sc)
-	for _, ha := range r.ep.snap.cands.Candidates(r.p.mq.Head, r.opt.Type, r.p.headPatternIdx) {
-		if err := r.ctx.Err(); err != nil {
-			return err
-		}
-		if !r.headAgrees(b.sigma, ha) {
-			continue
-		}
-		r.stats.HeadsTried++
-		h, err := r.ep.snap.ev.TableFor(ha)
-		if err != nil {
-			return err
-		}
-		hb, bh := r.headIdx.PairCounts(h, bj, r.sc)
-		v := fraction(bh, bj.Len()) // cnf = |b ⋉ h| / |b|
-		if d.ix == core.Cvr {
-			v = fraction(hb, h.Len()) // cvr = |h ⋉ b| / |h|
-		}
-		if !v.Greater(d.k) {
-			continue
-		}
-		full := b.sigma.Clone()
-		if r.p.mq.Head.PredVar {
-			if err := full.Assign(r.p.mq.Head, ha); err != nil {
-				continue // cannot agree (e.g. conflicting relation)
-			}
-		}
-		d.witness = full
-		if bjOwned {
-			r.sc.Release(bj)
-		}
-		return errFound
+	if !exceeds {
+		r.stats.BodiesPrunedSupport++
+		return nil
 	}
-	if bjOwned {
-		r.sc.Release(bj)
+	// No agreeing head (e.g. the head's predicate variable is pinned to a
+	// relation with no candidate atoms) leaves err nil: keep searching.
+	err = r.completeHead(b, d.found)
+	if err == errFound {
+		r.stats.HeadsSkipped++
 	}
-	return nil
+	return err
 }
 
-// completeHead extends a decided body instantiation with an agreeing head
-// assignment — any one will do, since the queried index does not depend on
-// the head. It reports false when no head candidate agrees.
-func (r *run) completeHead(sigma *core.Instantiation) (*core.Instantiation, bool) {
-	head := r.p.mq.Head
-	if !head.PredVar {
-		return sigma.Clone(), true
-	}
-	if _, ok := sigma.AtomFor(head); ok {
-		// The head scheme is also a body scheme and is already assigned.
-		return sigma.Clone(), true
-	}
-	for _, ha := range r.ep.snap.cands.Candidates(head, r.opt.Type, r.p.headPatternIdx) {
-		if !r.headAgrees(sigma, ha) {
-			continue
+// found records a witness and unwinds the search.
+func (d *decider) found(full *core.Instantiation) error {
+	d.witness = full
+	return errFound
+}
+
+// headExceeds is the head test of the decider's walk: does the queried
+// head-dependent index of head table h against body join b exceed k? The
+// exact test takes both counts from one KeyCounts.PairCounts pass, which
+// indexes b at most once for all its heads.
+func (d *decider) headExceeds(h, b *relation.Table) (bool, error) {
+	if d.sampled {
+		if d.ix == core.Cnf {
+			// cnf = |b ⋉ h| / |b|: sample body-join rows, probe the head.
+			return d.fractionExceeds(b, h, d.par.MaxSamples)
 		}
-		full := sigma.Clone()
-		if err := full.Assign(head, ha); err != nil {
-			continue
-		}
-		return full, true
+		// cvr = |h ⋉ b| / |h|: sample head rows, probe the body join.
+		return d.fractionExceeds(h, b, d.par.MaxSamples)
 	}
-	return nil, false
+	r := d.run
+	hb, bh := r.headIdx.PairCounts(h, b, r.sc)
+	if d.ix == core.Cvr {
+		return fraction(hb, h.Len()).Greater(d.k), nil
+	}
+	return fraction(bh, b.Len()).Greater(d.k), nil
+}
+
+// supportExceeds decides sup(σb(body)) > k from the reduced node tables:
+// support is a maximum, so the body qualifies as soon as one body atom's
+// fraction exceeds k.
+func (d *decider) supportExceeds(b *body) (bool, error) {
+	if d.sampled {
+		return d.sampledSupportExceeds(b)
+	}
+	r := d.run
+	exceeds := false
+	err := r.forEachBodyAtom(b.sigma, b.s, func(_ relation.Atom, ra, u *relation.Table) bool {
+		exceeds = r.supportFraction(ra, u).Greater(d.k)
+		return exceeds
+	})
+	return exceeds, err
 }
 
 // decideOrder returns the node visit order used by decision runs: a valid

@@ -21,17 +21,21 @@ const approxMinPopulation = 16
 const approxMinFractionBudget = 32
 
 // DecideApprox solves the decision problem ⟨DB, MQ, ix, k, T⟩ like
-// DecideFirst, but evaluates the candidate fractions by uniform row
-// sampling under the Prepared's Options.Approx (ε, δ) contract instead of
-// exactly. For every candidate fraction |t ⋉ u| / |t| it runs a sequential
+// DecideFirst, with the same decider (decide.go): the same body search and
+// selectivity-ordered (stats-driven) node visit order, the same head walk
+// and support loop, the same candidate index and per-epoch node-join
+// cache. Only the decider's fraction test differs: where DecideFirst
+// counts every candidate fraction |t ⋉ u| / |t| exactly, DecideApprox
+// estimates it by uniform row sampling under the Prepared's
+// Options.Approx (ε, δ) contract. For every fraction it runs a sequential
 // test (internal/approx.Seq): uniform rows of t are drawn without
 // replacement and probed against u, and the candidate is accepted or
 // rejected as soon as the Hoeffding interval at confidence 1−δ clears the
 // threshold. An interval still straddling k after the sample budget — which
 // certifies the fraction is within ±ε of k under the default budget —
-// escalates to the same exact semijoin kernels DecideFirst uses, as does a
-// budget that covers the whole population (exhausted without-replacement
-// sampling *is* exact evaluation).
+// escalates to an exact semijoin count, as does a budget that covers the
+// whole population (exhausted without-replacement sampling *is* exact
+// evaluation).
 //
 // The error contract is one-sided in practice: a sampled accept is
 // confirmed exactly before it can become a witness, so a YES verdict (and
@@ -40,16 +44,15 @@ const approxMinFractionBudget = 32
 // above k+ε. Stats.SamplesDrawn and Stats.ApproxEscalated report the
 // sampling effort and the escalation count.
 //
-// The run shares everything with DecideFirst: the candidate index, the
-// selectivity-ordered (stats-driven) node visit order, and the per-epoch
-// node-join cache. The per-body sup budget is stratified across the body's
-// atom fractions proportionally to the statistics' MCV-backed cardinality
-// estimates. All sampling randomness derives from Options.Approx.Seed, so
-// identical inputs replay identical decisions. The run is sequential:
-// Options.Workers is ignored here (the sampled NO path makes per-candidate
-// work too small to amortize worker startup).
+// The per-body sup budget is stratified across the body's atom fractions
+// proportionally to the statistics' MCV-backed cardinality estimates. All
+// sampling randomness derives from Options.Approx.Seed, so identical
+// inputs replay identical decisions. The run is sequential: the sampler
+// seeds follow the walk order, and Options.Workers is ignored here (the
+// sampled NO path makes per-candidate work too small to amortize worker
+// startup).
 //
-// Without Options.Approx configured, DecideApprox falls back to the exact
+// Without Options.Approx configured, DecideApprox is the exact
 // DecideFirst.
 func (p *Prepared) DecideApprox(ctx context.Context, ix core.Index, k rat.Rat) (bool, *core.Instantiation, error) {
 	yes, wit, _, err := p.DecideApproxStats(ctx, ix, k)
@@ -59,36 +62,7 @@ func (p *Prepared) DecideApprox(ctx context.Context, ix core.Index, k rat.Rat) (
 // DecideApproxStats is DecideApprox additionally returning the run's search
 // counters, including the samples-drawn and escalation counts.
 func (p *Prepared) DecideApproxStats(ctx context.Context, ix core.Index, k rat.Rat) (bool, *core.Instantiation, *Stats, error) {
-	if !p.opt.Approx.Enabled() {
-		return p.DecideFirstStats(ctx, ix, k)
-	}
-	opt := p.opt
-	opt.Thresholds = core.SingleIndex(ix, k)
-	opt.Limit = 0
-	ep := p.tracedEpoch(resolveTracer(ctx, opt))
-	r := p.newRunEp(ctx, opt, ep)
-	defer r.release()
-	r.order = p.decideOrder(ep)
-	r.beginRoot("decide-approx")
-	defer r.endRoot()
-
-	d := &approxDecider{
-		run: r,
-		ix:  ix,
-		k:   k,
-		kf:  k.Float64(),
-		par: approxParams(opt.Approx),
-	}
-	d.seedBase = approxSeedBase(opt.Approx.Seed, ix, k)
-	r.onBody = d.onBody
-	err := r.forEachBody()
-	if err != nil && err != errFound {
-		return false, nil, r.stats, err
-	}
-	if d.witness != nil {
-		r.stats.Answers = 1
-	}
-	return d.witness != nil, d.witness, r.stats, nil
+	return p.decide(ctx, ix, k, p.opt.Approx.Enabled())
 }
 
 // approxParams normalizes the option triple: an unset budget derives the
@@ -117,81 +91,50 @@ func approxSeedBase(seed int64, ix core.Index, k rat.Rat) uint64 {
 	return s
 }
 
-// approxDecider is the sampling first-witness consumer of the body-search
-// iterator: the DecideApprox counterpart of decider.
-type approxDecider struct {
-	run      *run
-	ix       core.Index
-	k        rat.Rat
-	kf       float64
-	par      approx.Params
-	seedBase uint64
-	seedCtr  uint64
-	witness  *core.Instantiation
-
-	// Reused per-fraction staging (probe tuple and column positions) and
-	// per-body stratification buffers.
-	buf  relation.Tuple
-	pos  []int
-	raS  []*relation.Table
-	idS  []int
-	estS []float64
-}
-
 // nextSeed returns a fresh deterministic sampler seed: a Weyl sequence over
 // the decision's seed base, advanced once per fraction in walk order.
-func (d *approxDecider) nextSeed() uint64 {
+func (d *decider) nextSeed() uint64 {
 	d.seedCtr++
 	return d.seedBase + d.seedCtr*0x9e3779b97f4a7c15
 }
 
-// onBody checks one complete body instantiation, sampling its fractions.
-func (d *approxDecider) onBody(b *body) error {
-	if d.ix == core.Sup {
-		return d.supBody(b)
-	}
-	return d.headSearch(b)
-}
-
-// supBody decides the head-independent support index for one body: sup is
-// the maximum atom fraction, so the body is a witness as soon as any
-// fraction exceeds k. The sample budget is stratified across the body's
-// atom fractions proportionally to the snapshot statistics' estimated atom
-// cardinalities (AtomEst consults the MCV sketches for constant
-// selections), floored so small strata still get a decidable share.
-func (d *approxDecider) supBody(b *body) error {
+// sampledSupportExceeds is the sampled support test for one body. The
+// sample budget is stratified across the body's atom fractions
+// proportionally to the snapshot statistics' estimated atom cardinalities
+// (AtomEst consults the MCV sketches for constant selections), floored so
+// small strata still get a decidable share; so every atom's estimate is
+// collected before the first fraction is tested.
+func (d *decider) sampledSupportExceeds(b *body) (bool, error) {
 	r := d.run
-	ras, ids, ests := d.raS[:0], d.idS[:0], d.estS[:0]
+	ras, us, ests := d.raS[:0], d.uS[:0], d.estS[:0]
 	defer func() {
-		for i := range ras {
-			ras[i] = nil
-		}
-		d.raS, d.idS, d.estS = ras[:0], ids[:0], ests[:0]
+		clear(ras)
+		clear(us)
+		d.raS, d.uS, d.estS = ras[:0], us[:0], ests[:0]
 	}()
 	total := 0.0
-	for id, bs := range r.p.schemes {
-		atom, err := r.instAtom(bs.scheme, b.sigma)
-		if err != nil {
-			return err
-		}
-		ra, err := r.ep.snap.ev.TableFor(atom)
-		if err != nil {
-			return err
-		}
-		if ra.Len() == 0 {
-			continue
-		}
+	err := r.forEachBodyAtom(b.sigma, b.s, func(atom relation.Atom, ra, u *relation.Table) bool {
 		est := float64(ra.Len())
 		if e := r.ep.snap.ev.AtomEst(atom).Rows; e > 0 {
 			est = e
 		}
-		ras, ids, ests = append(ras, ra), append(ids, id), append(ests, est)
+		ras, us, ests = append(ras, ra), append(us, u), append(ests, est)
 		total += est
+		return false
+	})
+	if err != nil {
+		return false, err
 	}
-	exceeded := false
 	for i, ra := range ras {
 		if err := r.ctx.Err(); err != nil {
-			return err
+			return false, err
+		}
+		if us[i] == nil {
+			// A sole-atom decomposition's fraction is exactly 1.
+			if rat.One.Greater(d.k) {
+				return true, nil
+			}
+			continue
 		}
 		budget := d.par.MaxSamples
 		if len(ras) > 1 && total > 0 {
@@ -200,95 +143,12 @@ func (d *approxDecider) supBody(b *body) error {
 				budget = approxMinFractionBudget
 			}
 		}
-		// As in forEachBodyFraction: the node table is probed directly (a
-		// semijoin reads only the shared columns), and a sole-atom
-		// decomposition's fraction is exactly 1.
-		node := r.p.decomp.CoverNode[ids[i]]
-		if r.p.soleAtomNode(node, ids[i]) {
-			if rat.One.Greater(d.k) {
-				exceeded = true
-				break
-			}
-			continue
-		}
-		exceeds, err := d.fractionExceeds(ra, b.s[node.ID], budget)
-		if err != nil {
-			return err
-		}
-		if exceeds {
-			exceeded = true
-			break
+		exceeds, err := d.fractionExceeds(ra, us[i], budget)
+		if err != nil || exceeds {
+			return exceeds, err
 		}
 	}
-	if !exceeded {
-		r.stats.BodiesPrunedSupport++
-		return nil
-	}
-	wit, ok := r.completeHead(b.sigma)
-	if !ok {
-		return nil
-	}
-	r.stats.HeadsSkipped++
-	d.witness = wit
-	return errFound
-}
-
-// headSearch materializes the body join once and samples the queried
-// head-dependent fraction for each agreeing head candidate: cnf samples the
-// body join's rows against the head table, cvr samples the head table's
-// rows against the body join.
-func (d *approxDecider) headSearch(b *body) error {
-	r := d.run
-	bj, bjOwned, err := r.bodyJoin(b.sigma, b.s)
-	if err != nil {
-		return err
-	}
-	release := func() {
-		if bjOwned {
-			r.sc.Release(bj)
-		}
-	}
-	for _, ha := range r.ep.snap.cands.Candidates(r.p.mq.Head, r.opt.Type, r.p.headPatternIdx) {
-		if err := r.ctx.Err(); err != nil {
-			release()
-			return err
-		}
-		if !r.headAgrees(b.sigma, ha) {
-			continue
-		}
-		r.stats.HeadsTried++
-		h, err := r.ep.snap.ev.TableFor(ha)
-		if err != nil {
-			release()
-			return err
-		}
-		var exceeds bool
-		if d.ix == core.Cnf {
-			// cnf = |b ⋉ h| / |b|: sample body-join rows, probe the head.
-			exceeds, err = d.fractionExceeds(bj, h, d.par.MaxSamples)
-		} else {
-			// cvr = |h ⋉ b| / |h|: sample head rows, probe the body join.
-			exceeds, err = d.fractionExceeds(h, bj, d.par.MaxSamples)
-		}
-		if err != nil {
-			release()
-			return err
-		}
-		if !exceeds {
-			continue
-		}
-		full := b.sigma.Clone()
-		if r.p.mq.Head.PredVar {
-			if err := full.Assign(r.p.mq.Head, ha); err != nil {
-				continue // cannot agree (e.g. conflicting relation)
-			}
-		}
-		d.witness = full
-		release()
-		return errFound
-	}
-	release()
-	return nil
+	return false, nil
 }
 
 // fractionExceeds decides |t ⋉ u| / |t| > k through fractionExceedsImpl,
@@ -297,7 +157,7 @@ func (d *approxDecider) headSearch(b *body) error {
 // ApproxEscalated increment happens inside the impl, at most once per
 // call, so the before/after delta is exact), and drawn reports the rows
 // this call sampled.
-func (d *approxDecider) fractionExceeds(t, u *relation.Table, budget int) (bool, error) {
+func (d *decider) fractionExceeds(t, u *relation.Table, budget int) (bool, error) {
 	r := d.run
 	if r.tr == nil {
 		return d.fractionExceedsImpl(t, u, budget)
@@ -315,11 +175,11 @@ func (d *approxDecider) fractionExceeds(t, u *relation.Table, budget int) (bool,
 }
 
 // fractionExceedsImpl decides |t ⋉ u| / |t| > k. Large denominators run
-// the sequential sampled test with the given budget; tiny ones, cartesian
-// degenerations (no shared columns), escalations, and the exact
-// confirmation of sampled accepts all go through the same exact kernels the
-// exact decider uses, so every returned YES is a certainty.
-func (d *approxDecider) fractionExceedsImpl(t, u *relation.Table, budget int) (bool, error) {
+// the sequential sampled test with the given budget; tiny ones,
+// escalations and the confirmation of sampled accepts are counted exactly
+// by SemijoinCountS (a cartesian degeneration, with no shared columns, is
+// 0 or 1 outright), so every returned YES is a certainty.
+func (d *decider) fractionExceedsImpl(t, u *relation.Table, budget int) (bool, error) {
 	r := d.run
 	pop := t.Len()
 	if pop == 0 {
@@ -427,7 +287,7 @@ func (d *approxDecider) fractionExceedsImpl(t, u *relation.Table, budget int) (b
 // d.pos (t-side positions, in u's shared-column order), together with
 // whether the caller must release it. When every u column is shared, u is
 // its own membership set.
-func (d *approxDecider) probeSet(t, u *relation.Table) (*relation.Table, bool) {
+func (d *decider) probeSet(t, u *relation.Table) (*relation.Table, bool) {
 	r := d.run
 	if len(d.pos) == len(u.Vars()) {
 		return u, false

@@ -27,13 +27,18 @@
 //   - DecideFirst (decide.go) is the dedicated first-witness decision path:
 //     it checks a single index, skips head enumeration when the index makes
 //     heads irrelevant, visits nodes smallest-estimated-table first, and
-//     stops at the first admissible witness.
+//     stops at the first admissible witness;
+//   - DecideApprox (decide_approx.go) runs the same decider with a sampled
+//     ε–δ fraction test in place of the exact counts.
 //
 // The three enumerating modes share one producer (Prepared.enumerate) and
-// FindRules and ExplainRun one collector; with Options.Workers > 1 every
-// mode above runs on one worker pool (parallel.go), which shards the first
-// visited node's candidates and differs per mode only in the consumer each
-// worker installs.
+// FindRules and ExplainRun one collector; both decision modes share one
+// driver (Prepared.decide). Every mode walks heads through one head loop
+// and counts support through one body-atom loop (heads.go). With
+// Options.Workers > 1 every mode above except DecideApprox runs on one
+// worker pool (parallel.go), which shards the first visited node's
+// candidates and differs per mode only in the consumer each worker
+// installs.
 //
 // Executions take a context.Context and stop promptly with ctx.Err() on
 // cancellation.

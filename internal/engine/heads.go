@@ -8,21 +8,22 @@ import (
 	"github.com/mqgo/metaquery/internal/stats"
 )
 
-// forEachBodyFraction computes, for each distinct body scheme, the fraction
+// forEachBodyAtom is the one loop behind every support fraction
 //
 //	{a} ↑ b(r)  =  |r_a ⋉ π_varo(a)(s[p])| / |r_a|
 //
-// of tuples of the instantiated atom a participating in the reduced body
-// (p is a's cover node), calling f with each non-zero value. f returns
-// true to stop the iteration early. It is the single loop behind the exact
-// support computation, the enoughSupport pruning check, and the
-// first-witness support decision.
+// of the reduced body (p is a's cover node): for each distinct body scheme
+// with a non-empty table r_a it calls f with the instantiated atom a, r_a
+// and the cover-node table u = s[p] — nil when p joins a alone
+// (soleAtomNode), where the fraction is exactly 1. f returns true to stop
+// the iteration early. It serves the exact support (computeSupport), the
+// exact support decision and the sampled one's stratified budget.
 //
-// The node table s[p] is read directly, without the projection: a
-// semijoin looks only at the shared columns, which are exactly a's
-// variables (the cover node has them all in χ(p)), so r_a ⋉ s[p] has the
-// same count as r_a ⋉ π_varo(a)(s[p]).
-func (r *run) forEachBodyFraction(sigma *core.Instantiation, s map[int]*relation.Table, f func(rat.Rat) bool) error {
+// The node table s[p] is handed over without the projection: a semijoin
+// looks only at the shared columns, which are exactly a's variables (the
+// cover node has them all in χ(p)), so r_a ⋉ s[p] has the same count as
+// r_a ⋉ π_varo(a)(s[p]).
+func (r *run) forEachBodyAtom(sigma *core.Instantiation, s map[int]*relation.Table, f func(a relation.Atom, ra, u *relation.Table) bool) error {
 	for id, bs := range r.p.schemes {
 		atom, err := r.instAtom(bs.scheme, sigma)
 		if err != nil {
@@ -35,18 +36,25 @@ func (r *run) forEachBodyFraction(sigma *core.Instantiation, s map[int]*relation
 		if ra.Len() == 0 {
 			continue
 		}
-		num := ra.Len()
+		var u *relation.Table
 		if node := r.p.decomp.CoverNode[id]; !r.p.soleAtomNode(node, id) {
-			num = ra.SemijoinCountS(s[node.ID], r.sc)
+			u = s[node.ID]
 		}
-		if num == 0 {
-			continue
-		}
-		if f(rat.New(int64(num), int64(ra.Len()))) {
+		if f(atom, ra, u) {
 			return nil
 		}
 	}
 	return nil
+}
+
+// supportFraction counts one forEachBodyAtom fraction |r_a ⋉ u| / |r_a|
+// exactly; a nil u is the sole-atom fraction 1.
+func (r *run) supportFraction(ra, u *relation.Table) rat.Rat {
+	num := ra.Len()
+	if u != nil {
+		num = ra.SemijoinCountS(u, r.sc)
+	}
+	return fraction(num, ra.Len())
 }
 
 // soleAtomNode reports whether node is the whole decomposition and joins
@@ -64,23 +72,11 @@ func (p *Prepared) soleAtomNode(node *hypertree.Node, id int) bool {
 // threshold bit).
 func (r *run) computeSupport(sigma *core.Instantiation, s map[int]*relation.Table) (rat.Rat, error) {
 	best := rat.Zero
-	err := r.forEachBodyFraction(sigma, s, func(v rat.Rat) bool {
-		best = rat.Max(best, v)
+	err := r.forEachBodyAtom(sigma, s, func(_ relation.Atom, ra, u *relation.Table) bool {
+		best = rat.Max(best, r.supportFraction(ra, u))
 		return false
 	})
 	return best, err
-}
-
-// supportExceeds is the early-exit variant used for pruning and for
-// support decisions: it reports true as soon as one body atom's fraction
-// exceeds k (support is a maximum).
-func (r *run) supportExceeds(sigma *core.Instantiation, s map[int]*relation.Table, k rat.Rat) (bool, error) {
-	exceeds := false
-	err := r.forEachBodyFraction(sigma, s, func(v rat.Rat) bool {
-		exceeds = v.Greater(k)
-		return exceeds
-	})
-	return exceeds, err
 }
 
 // bodyJoin materializes b = J(σ(body)) over att(body), including type-2
@@ -194,29 +190,91 @@ func (r *run) headAgrees(sigma *core.Instantiation, ha relation.Atom) bool {
 	return true
 }
 
-// findHeads is Figure 4's findHeads: with the body σb fixed and reduced,
-// check support, materialize b = J(σb(body)), and search head
-// instantiations agreeing with σb, filtering on cover and confidence. Both
-// head-dependent indices of a candidate come from one counting pass
-// (KeyCounts.PairCounts, using b ⋉ (h ⋉ b) = b ⋉ h), so the figure's
-// h' = h ⋉ b is never materialized, and b is indexed at most once for all
-// its heads. It is the enumeration consumer of the body-search iterator
-// (search.go).
-func (r *run) findHeads(bd *body) error {
-	sigma, s := bd.sigma, bd.s
-	th := r.opt.Thresholds
-
-	if th.CheckSup {
-		ok, err := r.supportExceeds(sigma, s, th.Sup)
+// forEachHead is Figure 4's head loop over one reduced body bd, the only
+// walk of the head candidates: every consumer that needs heads is a
+// visitor of it. It polls the run's context per candidate and skips heads
+// that do not agree with σb.
+//
+// With a non-nil test, it materializes the body join b = J(σb(body)) once,
+// counts every agreeing candidate in HeadsTried and hands test the
+// candidate's table h with b; each head test accepts extends σb into the
+// full instantiation passed to accept. A nil test completes σb only —
+// no body join, head table or HeadsTried — for decisions whose index does
+// not depend on the head. An error from test or accept (a sentinel such as
+// errFound included) ends the walk. The body join, when owned, is released
+// on every exit.
+func (r *run) forEachHead(bd *body, test func(h, b *relation.Table) (bool, error), accept func(*core.Instantiation) error) error {
+	var b *relation.Table
+	if test != nil {
+		bj, owned, err := r.bodyJoin(bd.sigma, bd.s)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			r.stats.BodiesPrunedSupport++
-			return nil
+		if owned {
+			defer r.sc.Release(bj)
+		}
+		b = bj
+		r.headIdx.Reset(r.sc)
+	}
+	head := r.p.mq.Head
+	for _, ha := range r.ep.snap.cands.Candidates(head, r.opt.Type, r.p.headPatternIdx) {
+		if err := r.ctx.Err(); err != nil {
+			return err
+		}
+		if !r.headAgrees(bd.sigma, ha) {
+			continue
+		}
+		if test != nil {
+			r.stats.HeadsTried++
+			h, err := r.ep.snap.ev.TableFor(ha)
+			if err != nil {
+				return err
+			}
+			ok, err := test(h, b)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
+		}
+		full := bd.sigma.Clone()
+		if head.PredVar {
+			if err := full.Assign(head, ha); err != nil {
+				continue // cannot agree (e.g. conflicting relation)
+			}
+		}
+		if err := accept(full); err != nil {
+			return err
 		}
 	}
-	sup, err := r.computeSupport(sigma, s)
+	return nil
+}
+
+// completeHead hands accept the decided body σb extended with an agreeing
+// head assignment — any one will do, since the decided index does not
+// depend on the head. It calls accept at most once and not at all when no
+// head candidate agrees.
+func (r *run) completeHead(bd *body, accept func(*core.Instantiation) error) error {
+	head := r.p.mq.Head
+	if _, ok := bd.sigma.AtomFor(head); ok || !head.PredVar {
+		// Nothing to assign: an ordinary head, or a head scheme that is
+		// also a body scheme.
+		return accept(bd.sigma.Clone())
+	}
+	return r.forEachHead(bd, nil, accept)
+}
+
+// findHeads is Figure 4's findHeads: with the body σb fixed and reduced,
+// check support, then visit the head instantiations agreeing with σb,
+// filtering on cover and confidence. Both head-dependent indices of a
+// candidate come from one counting pass (KeyCounts.PairCounts, using
+// b ⋉ (h ⋉ b) = b ⋉ h), so the figure's h' = h ⋉ b is never
+// materialized, and b is indexed at most once for all its heads. It is the
+// enumeration consumer of the body-search iterator (search.go).
+func (r *run) findHeads(bd *body) error {
+	th := r.opt.Thresholds
+	sup, err := r.computeSupport(bd.sigma, bd.s)
 	if err != nil {
 		return err
 	}
@@ -224,43 +282,12 @@ func (r *run) findHeads(bd *body) error {
 		r.stats.BodiesPrunedSupport++
 		return nil
 	}
-
-	b, bOwned, err := r.bodyJoin(sigma, s)
-	if err != nil {
-		return err
-	}
-	r.headIdx.Reset(r.sc)
-
-	head := r.p.mq.Head
-	for _, ha := range r.ep.snap.cands.Candidates(head, r.opt.Type, r.p.headPatternIdx) {
-		if err := r.ctx.Err(); err != nil {
-			return err
-		}
-		if !r.headAgrees(sigma, ha) {
-			continue
-		}
-		r.stats.HeadsTried++
-
-		h, err := r.ep.snap.ev.TableFor(ha)
-		if err != nil {
-			return err
-		}
+	var cnf, cvr rat.Rat
+	return r.forEachHead(bd, func(h, b *relation.Table) (bool, error) {
 		hb, bh := r.headIdx.PairCounts(h, b, r.sc)
-		cvr := fraction(hb, h.Len())
-		if th.CheckCvr && !cvr.Greater(th.Cvr) {
-			continue
-		}
-		cnf := fraction(bh, b.Len())
-		if th.CheckCnf && !cnf.Greater(th.Cnf) {
-			continue
-		}
-
-		full := sigma.Clone()
-		if head.PredVar {
-			if err := full.Assign(head, ha); err != nil {
-				continue // cannot agree (e.g. conflicting relation)
-			}
-		}
+		cvr, cnf = fraction(hb, h.Len()), fraction(bh, b.Len())
+		return (!th.CheckCvr || cvr.Greater(th.Cvr)) && (!th.CheckCnf || cnf.Greater(th.Cnf)), nil
+	}, func(full *core.Instantiation) error {
 		rule, err := full.Apply(r.p.mq)
 		if err != nil {
 			return err
@@ -268,25 +295,10 @@ func (r *run) findHeads(bd *body) error {
 		// Count before emitting: an answer the consumer stops on was still
 		// delivered, and must show in Stats.Answers.
 		r.stats.Answers++
-		err = r.emit(core.Answer{
-			Inst: full,
-			Rule: rule,
-			Sup:  sup,
-			Cnf:  cnf,
-			Cvr:  cvr,
-		})
+		err = r.emit(core.Answer{Inst: full, Rule: rule, Sup: sup, Cnf: cnf, Cvr: cvr})
 		if err == nil && r.opt.Limit > 0 && r.stats.Answers >= r.opt.Limit {
 			err = errLimit
 		}
-		if err != nil {
-			if bOwned {
-				r.sc.Release(b)
-			}
-			return err
-		}
-	}
-	if bOwned {
-		r.sc.Release(b)
-	}
-	return nil
+		return err
+	})
 }

@@ -15,10 +15,15 @@ import (
 // This file is the engine's single body-search core: a resumable
 // depth-first walk of the decomposition node order that yields each
 // complete body instantiation lazily, together with its fully reduced node
-// tables. Every execution mode — batch FindRules, incremental Stream, and
-// the first-witness DecideFirst — is a consumer of this one iterator; the
-// modes differ only in what they do with each yielded body (enumerate
-// heads, emit answers, or short-circuit on the first witness).
+// tables. Every execution mode — batch FindRules, incremental Stream,
+// ExplainRun, and the first-witness DecideFirst and DecideApprox — is a
+// consumer of this one iterator, sequential or sharded (parallel.go). The
+// modes differ only in what they do with each yielded body, and that work
+// also exists once (heads.go): one support loop over the body atoms
+// (forEachBodyAtom) and one head walk (forEachHead). Enumeration
+// (findHeads) visits the heads to emit answers; the one decider
+// (decide.go) visits them, or only the support loop, to stop at the first
+// witness, with an exact or a sampled fraction test.
 
 // bodyScheme couples a distinct body literal scheme with the data the
 // engine needs repeatedly.
@@ -51,7 +56,7 @@ type body struct {
 // a run can therefore never observe two epochs, regardless of concurrent
 // Apply calls.
 //
-// opt starts as a copy of the Prepared's options; DecideFirst overrides
+// opt starts as a copy of the Prepared's options; the decider overrides
 // the thresholds (and the limit) per execution without re-preparing, so
 // one Prepared serves enumeration and decision runs concurrently.
 type run struct {

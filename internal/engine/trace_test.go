@@ -9,6 +9,7 @@ import (
 	"github.com/mqgo/metaquery/internal/core"
 	"github.com/mqgo/metaquery/internal/obs"
 	"github.com/mqgo/metaquery/internal/rat"
+	"github.com/mqgo/metaquery/internal/relation"
 )
 
 // flattenTree collects every node of a span forest, depth-first.
@@ -316,5 +317,52 @@ func TestUntracedRunsShareResults(t *testing.T) {
 	assertSameAnswers(t, traced, plain, "traced vs plain")
 	if len(tr.Tree()) == 0 {
 		t.Fatal("tracer recorded nothing")
+	}
+}
+
+// TestSupportCountedOncePerBody checks that a support threshold costs no
+// counting pass of its own: the enumeration computes each body's support
+// once and prunes on that value. Every relation holds (a,a), so every body
+// joins and has positive support; min_sup = 0 then admits exactly the
+// answers of the unthresholded query, over the same bodies, and the traced
+// root must report the same number of semijoin counts.
+func TestSupportCountedOncePerBody(t *testing.T) {
+	db := relation.NewDatabase()
+	for _, row := range [][3]string{
+		{"p", "a", "a"}, {"p", "a", "b"}, {"p", "b", "c"},
+		{"q", "a", "a"}, {"q", "b", "a"},
+		{"s", "a", "a"}, {"s", "c", "b"}, {"s", "c", "c"},
+	} {
+		db.MustInsertNamed(row[0], row[1], row[2])
+	}
+	mq := core.MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
+	eng := NewEngine(db)
+	run := func(th core.Thresholds) ([]core.Answer, string) {
+		t.Helper()
+		tr := obs.NewTracer()
+		prep, err := eng.Prepare(mq, Options{Type: core.Type0, Thresholds: th, Tracer: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers, err := prep.FindRules(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr := spansNamed(tr.Tree(), "findrules")
+		if len(fr) != 1 {
+			t.Fatalf("findrules roots: %d, want 1", len(fr))
+		}
+		return answers, fr[0].Attrs["semijoin_counts"]
+	}
+	all, allCounts := run(core.Thresholds{})
+	sup0, sup0Counts := run(core.SingleIndex(core.Sup, rat.Zero))
+	if len(all) == 0 {
+		t.Fatal("no answers")
+	}
+	if got, want := fmt.Sprint(sup0), fmt.Sprint(all); got != want {
+		t.Fatalf("min_sup = 0 answers differ from unthresholded ones:\n%s\nvs\n%s", got, want)
+	}
+	if sup0Counts != allCounts {
+		t.Errorf("semijoin_counts with min_sup = 0: %s, without a threshold: %s; support must be counted once per body", sup0Counts, allCounts)
 	}
 }
