@@ -457,7 +457,7 @@ func BenchmarkDecideFirst(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Warm every path once so no benchmark pays the shared
-		// engine-level cache fills (atom tables, join plans) for another.
+		// engine-level cache fills (atom tables, node joins) for another.
 		if _, _, err := prep.DecideFirst(ctx, c.ix, c.k); err != nil {
 			b.Fatal(err)
 		}

@@ -10,20 +10,20 @@ import (
 
 // Evaluator computes plausibility indices over one database through caches
 // shared across rule evaluations: the FromAtom materializations (keyed by
-// atom text), the compiled join plans (keyed by atom-set shape and, for
-// cost-ordered plans, join order), and — when the evaluator carries
-// cardinality statistics — the per-atom cost estimates. The instantiation
-// searches (NaiveAnswers, Decide) evaluate thousands of
-// rules whose atoms and join shapes repeat constantly; holding one
-// Evaluator per search turns those repeats into cache hits instead of
-// fresh relation scans and join-order analyses.
+// atom text) and — when the evaluator carries cardinality statistics — the
+// per-atom cost estimates. The instantiation searches (NaiveAnswers,
+// Decide) evaluate thousands of rules whose atoms repeat constantly;
+// holding one Evaluator per search turns those repeats into cache hits
+// instead of fresh relation scans.
 //
-// With statistics attached (NewEvaluatorStats), Join orders multi-atom
-// joins cost-based: the actual input cardinalities and the estimated
-// per-column distinct counts drive a dynamic-programming order search
-// (stats.Order). Without statistics (NewEvaluator) Join keeps the
-// size-blind shape-greedy compiled order; the naive baseline runs that
-// way, and experiment E22 compares the two evaluators.
+// Every multi-table join the evaluator runs picks its order in one place,
+// JoinTables: with statistics attached (NewEvaluatorStats), joins of three
+// or more inputs are ordered cost-based — the actual input cardinalities
+// and the estimated per-column distinct counts drive a dynamic-programming
+// order search (stats.OrderInto). Without statistics (NewEvaluator), and
+// for two inputs, the size-greedy order applies (relation.GreedyOrderInto);
+// the naive baseline runs that way, and experiment E22 compares the two
+// evaluators.
 //
 // An Evaluator snapshots nothing: it reads the database lazily, so the
 // database must not be modified while the Evaluator is in use; Fork derives
@@ -31,12 +31,11 @@ import (
 // concurrent use.
 type Evaluator struct {
 	db *relation.Database
-	st *stats.Stats // nil = no statistics; Join keeps the shape-greedy order
+	st *stats.Stats // nil = no statistics; joins take the size-greedy order
 
 	mu    sync.RWMutex
 	atoms map[string]atomEntry
 	ests  map[string]estEntry
-	plans *relation.PlanCache
 }
 
 // atomEntry is one cached atom materialization together with its predicate,
@@ -53,7 +52,7 @@ type estEntry struct {
 	pred string
 }
 
-// orderBuf is the pooled scratch of one cost-ordered join: the estimator
+// orderBuf is the pooled planning scratch of one join: the estimator
 // inputs and the order permutation, sized for the DP planning width.
 type orderBuf struct {
 	in  [stats.OrderDPMax]stats.Est
@@ -63,31 +62,24 @@ type orderBuf struct {
 var orderScratch = sync.Pool{New: func() any { return new(orderBuf) }}
 
 // joinBuf is the pooled input staging of one Join call: the per-atom
-// tables and schemas handed to the compiled plan. Neither slice is retained
-// by the plan cache or by Run (plans copy what they keep), so the buffers
-// are safe to recycle the moment the join returns.
+// tables handed to JoinTables. The join does not retain the slice, so the
+// buffer is safe to recycle the moment the join returns.
 type joinBuf struct {
-	tables  []*relation.Table
-	schemas [][]string
+	tables []*relation.Table
 }
 
 var joinScratch = sync.Pool{New: func() any { return new(joinBuf) }}
 
 // put returns the buffer to the pool with its table references scrubbed, so
 // pooled buffers never pin arenas.
-func (b *joinBuf) put(tables []*relation.Table, schemas [][]string) {
-	for i := range tables {
-		tables[i] = nil
-	}
-	for i := range schemas {
-		schemas[i] = nil
-	}
-	b.tables, b.schemas = tables[:0], schemas[:0]
+func (b *joinBuf) put(tables []*relation.Table) {
+	clear(tables)
+	b.tables = tables[:0]
 	joinScratch.Put(b)
 }
 
 // NewEvaluator returns an empty-cached evaluator over db, without
-// cardinality statistics (joins use the shape-greedy compiled order).
+// cardinality statistics (joins use the size-greedy order).
 func NewEvaluator(db *relation.Database) *Evaluator {
 	return NewEvaluatorStats(db, nil)
 }
@@ -101,34 +93,30 @@ func NewEvaluatorStats(db *relation.Database, st *stats.Stats) *Evaluator {
 		st:    st,
 		atoms: make(map[string]atomEntry),
 		ests:  make(map[string]estEntry),
-		plans: relation.NewPlanCache(),
 	}
 }
 
 // Fork returns an evaluator over db — a newer version of the evaluated
 // database — and its statistics, carrying over every cached atom table and
-// estimate whose relation is pointer-identical between the two versions
-// (copy-on-write deltas share unchanged relations, so pointer equality is
-// exactly "this atom's data did not change"). The compiled-plan cache is
-// shared outright: plans depend on atom-set shapes, not data. ev itself is
-// untouched; old-epoch readers keep using it.
+// estimate whose relation is unchanged between the two versions
+// (Database.Unchanged). ev itself is untouched; old-epoch readers keep
+// using it.
 func (ev *Evaluator) Fork(db *relation.Database, st *stats.Stats) *Evaluator {
 	nev := &Evaluator{
 		db:    db,
 		st:    st,
 		atoms: make(map[string]atomEntry),
 		ests:  make(map[string]estEntry),
-		plans: ev.plans,
 	}
 	ev.mu.RLock()
 	defer ev.mu.RUnlock()
 	for k, e := range ev.atoms {
-		if r := db.Relation(e.pred); r != nil && r == ev.db.Relation(e.pred) {
+		if db.Unchanged(ev.db, e.pred) {
 			nev.atoms[k] = e
 		}
 	}
 	for k, e := range ev.ests {
-		if r := db.Relation(e.pred); r != nil && r == ev.db.Relation(e.pred) {
+		if db.Unchanged(ev.db, e.pred) {
 			nev.ests[k] = e
 		}
 	}
@@ -148,16 +136,11 @@ const atomKeyLen = 64
 
 // AtomEst returns the cost estimate of atom a (stats.AtomEst), cached
 // across evaluations. It must only be called on evaluators carrying
-// statistics.
+// statistics. A hit builds no string: the key is rendered into a stack
+// buffer and m[string(k)] does not allocate.
 func (ev *Evaluator) AtomEst(a relation.Atom) stats.Est {
 	var kb [atomKeyLen]byte
-	return ev.atomEstKey(a.AppendTo(kb[:0], nil), a)
-}
-
-// atomEstKey is AtomEst with the cache key (the atom's text) precomputed,
-// so the join path renders it once for both caches. A hit builds no
-// string: m[string(k)] does not allocate.
-func (ev *Evaluator) atomEstKey(k []byte, a relation.Atom) stats.Est {
+	k := a.AppendTo(kb[:0], nil)
 	ev.mu.RLock()
 	e, ok := ev.ests[string(k)]
 	ev.mu.RUnlock()
@@ -173,14 +156,10 @@ func (ev *Evaluator) atomEstKey(k []byte, a relation.Atom) stats.Est {
 
 // TableFor returns the materialization of atom a (relation.FromAtom), cached
 // across evaluations. The result is shared: callers must not modify it.
+// Only a miss allocates the key string.
 func (ev *Evaluator) TableFor(a relation.Atom) (*relation.Table, error) {
 	var kb [atomKeyLen]byte
-	return ev.tableForKey(a.AppendTo(kb[:0], nil), a)
-}
-
-// tableForKey is TableFor with the cache key precomputed. Only a miss
-// allocates the key string.
-func (ev *Evaluator) tableForKey(k []byte, a relation.Atom) (*relation.Table, error) {
+	k := a.AppendTo(kb[:0], nil)
 	ev.mu.RLock()
 	e, ok := ev.atoms[string(k)]
 	ev.mu.RUnlock()
@@ -202,67 +181,59 @@ func (ev *Evaluator) tableForKey(k []byte, a relation.Atom) (*relation.Table, er
 	return t, nil
 }
 
-// Join computes J(R) for the atom set R through a compiled join plan: the
-// per-atom tables come from the TableFor cache and the join order and column
-// bookkeeping from the plan cache, so repeated shapes pay only the
-// build/probe passes. With statistics attached, joins of three or more
-// atoms are ordered cost-based per atom set (stats.OrderInto, cached as one
-// plan per (shape, order) pair); otherwise the shape-greedy compiled order
-// applies. The result must be treated as immutable (single-atom joins
+// Join computes J(R) for the atom set R: TableFor on each atom, joined by
+// JoinTables. The result must be treated as immutable (single-atom joins
 // return the cached atom table itself).
 func (ev *Evaluator) Join(atoms []relation.Atom) (*relation.Table, error) {
 	if len(atoms) == 0 {
 		return relation.Unit(), nil
 	}
-	costBased := ev.st != nil && len(atoms) > 2
-
-	// Pooled input staging: the table and schema slices live only for this
-	// call (plans copy what they keep), so they come from a pool instead of
-	// two fresh allocations per join.
+	// Pooled input staging: the table slice lives only for this call.
 	buf := joinScratch.Get().(*joinBuf)
 	tables := buf.tables[:0]
-	schemas := buf.schemas[:0]
-
-	// Pooled planning scratch: order planning itself must not allocate on
-	// this per-join path (the DP tables are already stack-allocated inside
-	// stats.OrderInto).
-	var in []stats.Est
-	var ord []int
-	if costBased {
-		scratch := orderScratch.Get().(*orderBuf)
-		defer orderScratch.Put(scratch)
-		if len(atoms) <= stats.OrderDPMax {
-			in, ord = scratch.in[:len(atoms)], scratch.ord[:len(atoms)]
-		} else {
-			in, ord = make([]stats.Est, len(atoms)), make([]int, len(atoms))
-		}
-	}
-	var kb [atomKeyLen]byte
-	for i, a := range atoms {
-		k := a.AppendTo(kb[:0], nil)
-		t, err := ev.tableForKey(k, a)
+	for _, a := range atoms {
+		t, err := ev.TableFor(a)
 		if err != nil {
-			buf.put(tables, schemas)
+			buf.put(tables)
 			return nil, err
 		}
 		tables = append(tables, t)
-		schemas = append(schemas, t.Vars())
-		if costBased {
-			// One key build serves both the table and the estimate cache.
-			in[i] = ev.atomEstKey(k, a).WithRows(float64(t.Len()))
-		}
 	}
-	if !costBased {
-		// With two inputs the order is irrelevant (the join hashes the
-		// smaller side), so the shape plan is already optimal.
-		t, err := ev.plans.For(schemas).Run(tables)
-		buf.put(tables, schemas)
-		return t, err
+	t := ev.JoinTables(atoms, tables)
+	buf.put(tables)
+	return t, nil
+}
+
+// JoinTables joins tables, where tables[i] holds the rows of atoms[i] —
+// its materialization, possibly semijoin-reduced — and is the one place a
+// multi-table join picks its order. With statistics and more than two
+// inputs the order is cost-based: the tables' actual cardinalities combine
+// with the atoms' estimated per-column distinct counts in stats.OrderInto.
+// Otherwise the size-greedy order (relation.GreedyOrderInto) applies; with
+// two inputs the order is irrelevant, since the join hashes the smaller
+// side. Either way the join runs through relation.JoinTablesOrdered.
+// tables must not be empty, and the result must be treated as immutable
+// (a single input is returned itself).
+func (ev *Evaluator) JoinTables(atoms []relation.Atom, tables []*relation.Table) *relation.Table {
+	// Pooled planning scratch: order planning itself must not allocate on
+	// this per-join path (the DP tables are already stack-allocated inside
+	// stats.OrderInto).
+	scratch := orderScratch.Get().(*orderBuf)
+	defer orderScratch.Put(scratch)
+	var in []stats.Est
+	var ord []int
+	if n := len(tables); n <= stats.OrderDPMax {
+		in, ord = scratch.in[:n], scratch.ord[:n]
+	} else {
+		in, ord = make([]stats.Est, n), make([]int, n)
 	}
-	order := stats.OrderInto(in, ord)
-	t, err := ev.plans.ForOrder(schemas, order).Run(tables)
-	buf.put(tables, schemas)
-	return t, err
+	if ev.st == nil || len(tables) <= 2 {
+		return relation.JoinTablesOrdered(tables, relation.GreedyOrderInto(tables, ord))
+	}
+	for i, t := range tables {
+		in[i] = ev.AtomEst(atoms[i]).WithRows(float64(t.Len()))
+	}
+	return relation.JoinTablesOrdered(tables, stats.OrderInto(in, ord))
 }
 
 // Fraction computes R ↑ S of Definition 2.6 (see the package-level Fraction)

@@ -17,7 +17,7 @@ import (
 //
 // The free functions evaluate through a transient Evaluator; callers
 // computing indices for many rules over one database should hold a
-// NewEvaluator and use its methods so atom tables and join plans are reused.
+// NewEvaluator and use its methods so atom tables are reused.
 func Fraction(db *relation.Database, r, s []relation.Atom) (rat.Rat, error) {
 	return NewEvaluator(db).Fraction(r, s)
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 
 	"github.com/mqgo/metaquery/internal/core"
 	"github.com/mqgo/metaquery/internal/gen"
+	"github.com/mqgo/metaquery/internal/obs"
 	"github.com/mqgo/metaquery/internal/rat"
 	"github.com/mqgo/metaquery/internal/relation"
 	"github.com/mqgo/metaquery/internal/stats"
@@ -565,5 +567,57 @@ func BenchmarkParallelStream(b *testing.B) {
 		if st.Answers != n {
 			b.Fatalf("stats report %d answers, consumer saw %d", st.Answers, n)
 		}
+	}
+}
+
+// TestApplyKeepsUntouchedNodeJoins checks which cached node joins survive
+// an Apply: after a delta on r1, a traced re-execution hits the cache on
+// every node join that reads only other relations and misses exactly on
+// the ones that read r1.
+func TestApplyKeepsUntouchedNodeJoins(t *testing.T) {
+	eng := NewEngine(workload.ChainDB(3, 5, 12, 3))
+	mq := core.MustParse("R(X,W) <- r0(X,Y), r1(Y,Z), r2(Z,W)")
+	prep, err := eng.Prepare(mq, Options{Type: core.Type0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := prep.FindRules(ctx); err != nil {
+		t.Fatal(err)
+	}
+	d := Delta{Relations: []RelationDelta{{Name: "r1", Insert: [][]string{{"fresh_a", "fresh_b"}}}}}
+	if _, err := eng.Apply(ctx, d); err != nil {
+		t.Fatal(err)
+	}
+
+	tr := obs.NewTracer()
+	if _, _, err := prep.FindRulesStats(obs.WithTracer(ctx, tr)); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := 0, 0
+	for _, j := range spansNamed(tr.Tree(), "node-join") {
+		id, err := strconv.Atoi(j.Attrs["node"])
+		if err != nil {
+			t.Fatalf("node-join without a node id: %v", j.Attrs)
+		}
+		readsR1 := false
+		for _, s := range prep.nodeSchemes[id] {
+			readsR1 = readsR1 || prep.schemes[s].scheme.Atom().Pred == "r1"
+		}
+		want := "hit"
+		if readsR1 {
+			want = "miss"
+		}
+		if j.Attrs["cache"] != want {
+			t.Errorf("node %d (reads r1: %v): cache=%s, want %s", id, readsR1, j.Attrs["cache"], want)
+		}
+		if want == "hit" {
+			hits++
+		} else {
+			misses++
+		}
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("traced run after Apply: %d hits, %d misses — want both", hits, misses)
 	}
 }

@@ -283,29 +283,18 @@ func (p *Prepared) decideOrder(ep *prepEpoch) []*hypertree.Node {
 
 // nodeEstimate estimates the output size of one decomposition node's
 // λ-join: each scheme contributes the estimate of its cheapest candidate
-// atom (an ordinary atom contributes its own estimate), and the per-scheme
-// estimates compose through the join-size formula, all priced from the
-// snapshot statistics.
+// atom — the head of its selectivity-ordered list (an ordinary atom
+// contributes its own estimate) — and the per-scheme estimates compose
+// through the join-size formula, all priced from the snapshot statistics.
 func (p *Prepared) nodeEstimate(ep *prepEpoch, n *hypertree.Node) float64 {
 	acc := stats.Est{}
 	first := true
 	for _, id := range p.nodeSchemes[n.ID] {
-		bs := p.schemes[id]
-		var best stats.Est
-		if !bs.scheme.PredVar {
-			best = ep.snap.ev.AtomEst(bs.scheme.Atom())
-		} else {
-			found := false
-			for _, a := range ep.snap.cands.Candidates(bs.scheme, p.opt.Type, bs.patternIdx) {
-				e := ep.snap.ev.AtomEst(a)
-				if !found || e.Rows < best.Rows {
-					best, found = e, true
-				}
-			}
-			if !found {
-				return 0 // no candidates: the node can never instantiate
-			}
+		cands := p.orderedCandidates(ep)[id]
+		if len(cands) == 0 {
+			return 0 // no candidates: the node can never instantiate
 		}
+		best := ep.snap.ev.AtomEst(cands[0])
 		if first {
 			acc, first = best, false
 		} else {

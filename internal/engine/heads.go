@@ -5,7 +5,6 @@ import (
 	"github.com/mqgo/metaquery/internal/hypertree"
 	"github.com/mqgo/metaquery/internal/rat"
 	"github.com/mqgo/metaquery/internal/relation"
-	"github.com/mqgo/metaquery/internal/stats"
 )
 
 // forEachBodyAtom is the one loop behind every support fraction
@@ -82,25 +81,19 @@ func (r *run) computeSupport(sigma *core.Instantiation, s map[int]*relation.Tabl
 // bodyJoin materializes b = J(σ(body)) over att(body), including type-2
 // padding variables (they contribute to the confidence denominator).
 // Atom tables are semijoin-reduced against their cover nodes first, which
-// is what makes the final join cheap after the full-reducer passes.
-//
-// With three or more atoms the join order is cost-based: the reduced
-// tables' actual cardinalities combine with the atoms' estimated
-// per-column distinct counts (clamped to the reduced sizes by the order
-// search) in stats.Order, so skewed instantiations join low-fanout tables
-// first. Shorter bodies take the size-sorted greedy join.
+// is what makes the final join cheap after the full-reducer passes; the
+// reduced tables are then joined by the snapshot evaluator's JoinTables,
+// which orders three or more of them cost-based from their actual
+// cardinalities, so skewed instantiations join low-fanout tables first.
 // The returned owned flag reports whether the result is a run-owned
 // intermediate the caller must hand back through r.sc.Release when done —
 // false exactly when the join degenerated to a shared cached table.
 func (r *run) bodyJoin(sigma *core.Instantiation, s map[int]*relation.Table) (*relation.Table, bool, error) {
-	costBased := len(r.p.schemes) > 2
 	tables := r.bjTables[:0]
 	owns := r.bjOwn[:0]
 	atoms := r.bjAtoms[:0]
 	defer func() {
-		for i := range tables {
-			tables[i] = nil
-		}
+		clear(tables)
 		r.bjTables, r.bjOwn, r.bjAtoms = tables[:0], owns[:0], atoms[:0]
 	}()
 	for id, bs := range r.p.schemes {
@@ -130,26 +123,12 @@ func (r *run) bodyJoin(sigma *core.Instantiation, s map[int]*relation.Table) (*r
 		}
 		tables = append(tables, ta)
 		owns = append(owns, own)
-		if costBased {
-			atoms = append(atoms, atom)
-		}
+		atoms = append(atoms, atom)
 	}
 	if len(tables) == 0 {
 		return relation.Unit(), false, nil
 	}
-	var b *relation.Table
-	if costBased {
-		in := r.bjEsts[:0]
-		for i, ta := range tables {
-			in = append(in, r.ep.snap.ev.AtomEst(atoms[i]).WithRows(float64(ta.Len())))
-		}
-		r.bjEsts = in[:0]
-		b = relation.JoinTablesOrdered(tables, stats.Order(in))
-	} else {
-		// Size-aware greedy ordering, shared with JoinAtoms and the JoinPlan
-		// skew fallback.
-		b = relation.JoinTablesGreedy(tables)
-	}
+	b := r.ep.snap.ev.JoinTables(atoms, tables)
 	// Semijoined inputs are run-owned and recycled now; inputs whose reducer
 	// pass was skipped stay shared. The returned flag follows b: a fresh
 	// join output is owned, a directly returned input keeps its own status.
@@ -217,7 +196,7 @@ func (r *run) forEachHead(bd *body, test func(h, b *relation.Table) (bool, error
 		r.headIdx.Reset(r.sc)
 	}
 	head := r.p.mq.Head
-	for _, ha := range r.ep.snap.cands.Candidates(head, r.opt.Type, r.p.headPatternIdx) {
+	for _, ha := range r.p.headCandidates(r.ep) {
 		if err := r.ctx.Err(); err != nil {
 			return err
 		}

@@ -212,15 +212,14 @@ func (p *Prepared) streamParallel(ctx context.Context, ep *prepEpoch, st *Stats,
 // partitionScheme picks the scheme a sharded run partitions: the first
 // pattern scheme of the first node in the visit order, with its
 // selectivity-ordered candidate atoms. It returns -1 when the first node
-// holds no pattern scheme or that scheme has fewer than two candidates
-// (orderedCandidates lists only schemes with at least two).
+// holds no pattern scheme or that scheme has fewer than two candidates.
 func (p *Prepared) partitionScheme(ep *prepEpoch, order []*hypertree.Node) (int, []relation.Atom) {
 	if len(order) == 0 {
 		return -1, nil
 	}
 	for _, id := range p.nodeSchemes[order[0].ID] {
 		if p.schemes[id].scheme.PredVar {
-			if c, ok := p.orderedCandidates(ep)[id]; ok {
+			if c := p.orderedCandidates(ep)[id]; len(c) >= 2 {
 				return id, c
 			}
 			return -1, nil

@@ -53,32 +53,34 @@ type Prepared struct {
 
 // prepEpoch is the data-dependent half of a Prepared, bound to exactly one
 // engine snapshot: the node-join cache, the decision visit order, and the
-// selectivity-ordered candidate lists. A run resolves its prepEpoch once at
-// start and dereferences only it thereafter, so a single execution can
-// never observe two different epochs.
+// candidate lists. A run resolves its prepEpoch once at start and
+// dereferences only it thereafter, so a single execution can never
+// observe two different epochs.
 type prepEpoch struct {
 	snap *snapshot
 
 	// joinCache caches π_χ(J(σ(λ))) keyed by node and atom assignment,
-	// shared by all executions on this epoch. Misses execute through the
-	// snapshot evaluator's compiled-plan cache (one plan per node atom-set
-	// shape), so they pay only the build/probe passes, not the join-order
-	// and column analysis.
+	// shared by all executions on this epoch. Each entry keeps the
+	// predicates its atoms read, so the next epoch carries over exactly the
+	// joins whose relations a delta did not touch.
 	joinMu    sync.RWMutex
-	joinCache map[string]*relation.Table
+	joinCache map[string]nodeJoinEntry
 
 	// decideOrderNodes is the selectivity-sorted node visit order used by
 	// DecideFirst runs, computed lazily once (decide.go).
 	decideOrderOnce  sync.Once
 	decideOrderNodes []*hypertree.Node
 
-	// candOrder maps scheme IDs to their candidate atoms re-sorted by
-	// estimated materialization size ascending (most selective first), so
-	// every execution enumerates the candidates cheapest-to-check first.
-	// Computed lazily once from the snapshot statistics; schemes without an
-	// entry fall back to the candidate index order.
-	candOrderOnce sync.Once
-	candOrder     map[int][]relation.Atom
+	// candOrder holds every body scheme's candidate atoms, indexed by
+	// scheme ID; a pattern scheme's list is re-sorted by estimated
+	// materialization size ascending (most selective first), so every
+	// execution enumerates the candidates cheapest-to-check first.
+	// headCands holds the head's candidates in candidate index order. Both
+	// are resolved lazily once per epoch from the snapshot, so no execution
+	// asks the candidate index again.
+	candOnce  sync.Once
+	candOrder [][]relation.Atom
+	headCands []relation.Atom
 
 	// nodeEst caches the per-node estimated λ-join output sizes consumed
 	// by the tracing/metrics layer (estimate-vs-actual per node join),
@@ -104,7 +106,7 @@ func (e *Engine) Prepare(mq *core.Metaquery, opt Options) (*Prepared, error) {
 		mq:  mq,
 		opt: opt,
 	}
-	p.ep.Store(&prepEpoch{snap: snap, joinCache: make(map[string]*relation.Table)})
+	p.ep.Store(&prepEpoch{snap: snap, joinCache: make(map[string]nodeJoinEntry)})
 
 	// Distinct body schemes (the paper treats ls(MQ) as a set).
 	seen := map[string]int{}
@@ -171,11 +173,11 @@ func (p *Prepared) epoch() *prepEpoch {
 	if ep.snap == snap {
 		return ep
 	}
-	nep := &prepEpoch{snap: snap, joinCache: make(map[string]*relation.Table)}
+	nep := &prepEpoch{snap: snap, joinCache: make(map[string]nodeJoinEntry)}
 	ep.joinMu.RLock()
-	for key, t := range ep.joinCache {
-		if joinKeyUnchanged(key, ep.snap.db, snap.db) {
-			nep.joinCache[key] = t
+	for key, e := range ep.joinCache {
+		if e.unchanged(ep.snap.db, snap.db) {
+			nep.joinCache[key] = e
 		}
 	}
 	ep.joinMu.RUnlock()
@@ -183,115 +185,98 @@ func (p *Prepared) epoch() *prepEpoch {
 	return nep
 }
 
-// joinKeyUnchanged decodes the predicates out of a binary node-join cache
-// key (see nodeJoin/appendAtomKey for the encoding) and reports whether
-// every one resolves to the same *Relation in both database versions —
-// copy-on-write deltas share unchanged relations, so pointer equality is
-// exactly "this join's inputs did not change".
-func joinKeyUnchanged(key string, old, new *relation.Database) bool {
-	// Layout: 'n' u32(nodeID) then per atom: u32(len) pred u32(nterms)
-	// followed by nterms tagged terms ('v'/'d': u32(len) bytes, 'c': u32).
-	i := 1 + 4
-	for i < len(key) {
-		if i+4 > len(key) {
-			return false // malformed; treat as changed
-		}
-		plen := int(keyU32(key, i))
-		i += 4
-		if i+plen+4 > len(key) {
-			return false
-		}
-		pred := key[i : i+plen]
-		i += plen
-		if r := new.Relation(pred); r == nil || r != old.Relation(pred) {
-			return false
-		}
-		nterms := int(keyU32(key, i))
-		i += 4
-		for t := 0; t < nterms; t++ {
-			if i >= len(key) {
-				return false
-			}
-			switch key[i] {
-			case 'v', 'd':
-				if i+5 > len(key) {
-					return false
-				}
-				i += 5 + int(keyU32(key, i+1))
-			case 'c':
-				i += 5
-			default:
-				return false
-			}
-		}
-	}
-	return i == len(key)
+// nodeJoinEntry is one cached node join with the predicates of the atoms
+// it joins, which are all a delta can invalidate it through.
+type nodeJoinEntry struct {
+	t     *relation.Table
+	preds []string
 }
 
-// keyU32 reads the little-endian uint32 appendKeyUint wrote at offset i.
-func keyU32(key string, i int) uint32 {
-	return uint32(key[i]) | uint32(key[i+1])<<8 | uint32(key[i+2])<<16 | uint32(key[i+3])<<24
+// unchanged reports whether every relation the join reads is unchanged
+// from old to new (Database.Unchanged).
+func (e nodeJoinEntry) unchanged(old, new *relation.Database) bool {
+	for _, pred := range e.preds {
+		if !new.Unchanged(old, pred) {
+			return false
+		}
+	}
+	return true
 }
 
 // cachedJoin looks up a node join by its binary key. The string(key)
 // conversion in a map index expression does not allocate, so hits are free.
 func (ep *prepEpoch) cachedJoin(key []byte) (*relation.Table, bool) {
 	ep.joinMu.RLock()
-	t, ok := ep.joinCache[string(key)]
+	e, ok := ep.joinCache[string(key)]
 	ep.joinMu.RUnlock()
-	return t, ok
+	return e.t, ok
 }
 
-// storeJoin records t under key and returns the canonical cached table
-// (an earlier concurrent writer's, if it lost the race). The key string is
-// materialized here, on the miss path only.
-func (ep *prepEpoch) storeJoin(key []byte, t *relation.Table) *relation.Table {
+// storeJoin records t, the join of atoms, under key and returns the
+// canonical cached table (an earlier concurrent writer's, if it lost the
+// race). The key string and the predicate list are materialized here, on
+// the miss path only.
+func (ep *prepEpoch) storeJoin(key []byte, atoms []relation.Atom, t *relation.Table) *relation.Table {
 	t = t.Compact() // cached across executions; don't pin the input-sized arena
 	ep.joinMu.Lock()
 	if prev, ok := ep.joinCache[string(key)]; ok {
-		t = prev
+		t = prev.t
 	} else {
-		ep.joinCache[string(key)] = t
+		preds := make([]string, len(atoms))
+		for i, a := range atoms {
+			preds[i] = a.Pred
+		}
+		ep.joinCache[string(key)] = nodeJoinEntry{t: t, preds: preds}
 	}
 	ep.joinMu.Unlock()
 	return t
 }
 
-// orderedCandidates returns the epoch's selectivity-ordered candidate
-// lists, computing them on first use: per pattern scheme, the candidate
-// atoms sorted by estimated materialization size ascending (stable, so
-// equal estimates keep the candidate index order). Ordering depends only on
-// the snapshot statistics and the preparation, so it is shared by all
-// executions on the epoch.
-func (p *Prepared) orderedCandidates(ep *prepEpoch) map[int][]relation.Atom {
-	ep.candOrderOnce.Do(func() {
-		m := make(map[int][]relation.Atom, len(p.schemes))
-		for id, bs := range p.schemes {
-			if !bs.scheme.PredVar {
-				continue
-			}
-			cands := ep.snap.cands.Candidates(bs.scheme, p.opt.Type, bs.patternIdx)
-			if len(cands) < 2 {
-				continue
-			}
-			rows := make([]float64, len(cands))
-			for i, a := range cands {
-				rows[i] = ep.snap.ev.AtomEst(a).Rows
-			}
-			perm := make([]int, len(cands))
-			for i := range perm {
-				perm[i] = i
-			}
-			sort.SliceStable(perm, func(i, j int) bool { return rows[perm[i]] < rows[perm[j]] })
-			sorted := make([]relation.Atom, len(cands))
-			for k, i := range perm {
-				sorted[k] = cands[i]
-			}
-			m[id] = sorted
-		}
-		ep.candOrder = m
-	})
+// orderedCandidates returns the epoch's body candidate lists, indexed by
+// scheme ID: a pattern scheme's candidate atoms sorted by estimated
+// materialization size ascending (stable, so equal estimates keep the
+// candidate index order), an ordinary atom's own atom. Ordering depends
+// only on the snapshot statistics and the preparation, so it is shared by
+// all executions on the epoch.
+func (p *Prepared) orderedCandidates(ep *prepEpoch) [][]relation.Atom {
+	p.resolveCandidates(ep)
 	return ep.candOrder
+}
+
+// headCandidates returns the epoch's head candidate atoms, in candidate
+// index order.
+func (p *Prepared) headCandidates(ep *prepEpoch) []relation.Atom {
+	p.resolveCandidates(ep)
+	return ep.headCands
+}
+
+// resolveCandidates computes the epoch's candidate lists on first use.
+func (p *Prepared) resolveCandidates(ep *prepEpoch) {
+	ep.candOnce.Do(func() {
+		lists := make([][]relation.Atom, len(p.schemes))
+		for id, bs := range p.schemes {
+			cands := ep.snap.cands.Candidates(bs.scheme, p.opt.Type, bs.patternIdx)
+			if len(cands) >= 2 {
+				rows := make([]float64, len(cands))
+				for i, a := range cands {
+					rows[i] = ep.snap.ev.AtomEst(a).Rows
+				}
+				perm := make([]int, len(cands))
+				for i := range perm {
+					perm[i] = i
+				}
+				sort.SliceStable(perm, func(i, j int) bool { return rows[perm[i]] < rows[perm[j]] })
+				sorted := make([]relation.Atom, len(cands))
+				for k, i := range perm {
+					sorted[k] = cands[i]
+				}
+				cands = sorted
+			}
+			lists[id] = cands
+		}
+		ep.candOrder = lists
+		ep.headCands = ep.snap.cands.Candidates(p.mq.Head, p.opt.Type, p.headPatternIdx)
+	})
 }
 
 // runPool recycles run values — with their operator scratch (and its

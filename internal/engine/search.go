@@ -9,7 +9,6 @@ import (
 	"github.com/mqgo/metaquery/internal/hypertree"
 	"github.com/mqgo/metaquery/internal/obs"
 	"github.com/mqgo/metaquery/internal/relation"
-	"github.com/mqgo/metaquery/internal/stats"
 )
 
 // This file is the engine's single body-search core: a resumable
@@ -125,7 +124,6 @@ type run struct {
 	bjTables []*relation.Table
 	bjOwn    []bool
 	bjAtoms  []relation.Atom
-	bjEsts   []stats.Est
 }
 
 // release clears everything table- or query-referencing from the run and
@@ -207,7 +205,7 @@ func (r *run) instantiateNode(node *hypertree.Node, schemeIDs []int, j int, sigm
 		// Assigned at an earlier node (λ sets may overlap).
 		return r.instantiateNode(node, schemeIDs, j+1, sigma, cont)
 	}
-	for _, a := range r.candidatesFor(schemeIDs[j], bs) {
+	for _, a := range r.candidatesFor(schemeIDs[j]) {
 		if err := r.ctx.Err(); err != nil {
 			return err
 		}
@@ -229,17 +227,13 @@ func (r *run) instantiateNode(node *hypertree.Node, schemeIDs []int, j int, sigm
 
 // candidatesFor resolves the candidate atoms the search enumerates for one
 // scheme: a parallel-worker restriction wins outright; otherwise the
-// selectivity-ordered list (estimated-smallest candidate first, from the
-// engine statistics) when the scheme has one, falling back to the raw
-// candidate index order.
-func (r *run) candidatesFor(schemeID int, bs bodyScheme) []relation.Atom {
+// epoch's selectivity-ordered list (estimated-smallest candidate first,
+// from the engine statistics).
+func (r *run) candidatesFor(schemeID int) []relation.Atom {
 	if r.restrict != nil && schemeID == r.restrictID {
 		return r.restrict
 	}
-	if c, ok := r.p.orderedCandidates(r.ep)[schemeID]; ok {
-		return c
-	}
-	return r.ep.snap.cands.Candidates(bs.scheme, r.opt.Type, bs.patternIdx)
+	return r.p.orderedCandidates(r.ep)[schemeID]
 }
 
 // evalNode computes r[i] := π_χ(J(σ(λ))) semijoined with the children's
@@ -286,8 +280,8 @@ func (r *run) evalNode(node *hypertree.Node, schemeIDs []int, sigma *core.Instan
 // nodeJoin computes π_χ(J(σ(λ(p)))) for the node's current atom
 // assignment, served from the Prepared's cross-execution join cache. On a
 // miss, the join executes through the Engine evaluator: per-atom tables
-// from the shared materialization cache, join order and column bookkeeping
-// from a plan compiled once per atom-set shape.
+// from the shared materialization cache, joined in the order
+// Evaluator.JoinTables picks.
 func (r *run) nodeJoin(node *hypertree.Node, schemeIDs []int, sigma *core.Instantiation) (*relation.Table, error) {
 	// The cache key is a binary encoding of (node, atom assignment) built
 	// into the run's reused buffer; the map lookup converts it with
@@ -332,7 +326,7 @@ func (r *run) nodeJoin(node *hypertree.Node, schemeIDs []int, sigma *core.Instan
 		return nil, err
 	}
 	t := j.Project(node.Chi)
-	t = r.ep.storeJoin(key, t)
+	t = r.ep.storeJoin(key, atoms, t)
 	if r.tr != nil || r.em != nil {
 		d := time.Since(joinStart)
 		est := r.p.nodeEstimates(r.ep)[node.ID]

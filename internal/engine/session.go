@@ -49,8 +49,8 @@ func newSnapshot(epoch uint64, db *relation.Database, cands *core.CandidateIndex
 // arity, memoized pattern candidates), the cardinality statistics
 // (per-relation row counts, per-column distinct counts and MCV sketches,
 // collected in one pass at construction), and the evaluator caches
-// (FromAtom materializations, compiled join plans per atom-set shape and
-// order) — once, and shares them across all queries prepared on it.
+// (FromAtom materializations and per-atom cost estimates) — once, and
+// shares them across all queries prepared on it.
 //
 // The engine's database is mutable through Apply, which installs a new
 // epoch snapshot (copy-on-write relations, incrementally maintained

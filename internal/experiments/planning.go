@@ -12,17 +12,16 @@ import (
 	"github.com/mqgo/metaquery/internal/stats"
 )
 
-// runE22 benchmarks the cost-based join planner against the size-blind
-// shape-greedy baseline on a skewed/uniform workload pair. The databases
-// come from one gen.DBConfig differing only in the Skew knob: the skewed
-// one concentrates heavy-hitter values in a different column per relation
+// runE22 benchmarks the cost-based join planner against the size-greedy
+// baseline on a skewed/uniform workload pair. The databases come from one
+// gen.DBConfig differing only in the Skew knob: the skewed one
+// concentrates heavy-hitter values in a different column per relation
 // (gen.DBConfig.SkewCols — here column 1 of r0/r2, column 0 of r1), the
 // regime where cardinality ranking and selectivity ranking diverge:
 // single-column skew barely changes relation sizes under set semantics,
-// so the relations look interchangeable to size- and shape-based
-// ordering, while a join pairing two skewed columns on one variable
-// explodes — exactly what the per-column distinct counts reveal and the
-// cost-based order avoids.
+// so the relations look interchangeable to size-based ordering, while a
+// join pairing two skewed columns on one variable explodes — exactly what
+// the per-column distinct counts reveal and the cost-based order avoids.
 //
 // The measured path is core.Evaluator.Indices over every type-0
 // instantiation of a 3-pattern chain metaquery: unlike the engine's
@@ -30,10 +29,10 @@ import (
 // (Yannakakis reduction largely neutralizes join order), so the evaluator
 // layer is where plan quality shows. Both evaluators share nothing; each
 // is warmed over the full rule set once, so the timed second pass
-// compares steady-state join execution (compiled plans, cached atom
-// tables), not cache fills. The reproduction check is exact index
-// equality between the planners on every rule; the recorded wall/alloc
-// columns document the skew win.
+// compares steady-state join execution over cached atom tables, not cache
+// fills. The reproduction check is exact index equality between the
+// planners on every rule; the recorded wall/alloc columns document the
+// skew win.
 func runE22(ctx context.Context, quick bool) (*Result, error) {
 	res := &Result{ID: "E22", Title: "Cost-based vs. greedy join ordering on skewed and uniform workloads",
 		Header: []string{"workload", "planner", "wall", "allocs", "alloc-bytes", "rules"}}
@@ -99,8 +98,8 @@ func runE22(ctx context.Context, quick bool) (*Result, error) {
 				})
 				return m, err
 			}
-			// Warm pass: fills the evaluator's atom tables and compiled
-			// plans, so the timed pass measures join execution only.
+			// Warm pass: fills the evaluator's atom tables and estimates,
+			// so the timed pass measures join execution only.
 			if _, err := evalAll(); err != nil {
 				return nil, err
 			}

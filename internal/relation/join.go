@@ -1,8 +1,9 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // FromAtom materializes the table of assignments to varo(a) that satisfy
@@ -95,10 +96,9 @@ tuples:
 // join of the relations corresponding to the atoms, as a table over att(R).
 // For an empty atom list it returns the Unit table (join identity).
 //
-// Atoms are joined greedily: the next atom joined is one sharing variables
-// with the result so far (smallest first), to keep intermediates small.
-// Callers evaluating many atom sets of the same shape should compile a
-// JoinPlan once and Run it instead.
+// Atoms are joined greedily (JoinTablesGreedy): the next atom joined is one
+// sharing variables with the result so far (smallest first), to keep
+// intermediates small.
 func JoinAtoms(db *Database, atoms []Atom) (*Table, error) {
 	if len(atoms) == 0 {
 		return Unit(), nil
@@ -115,12 +115,14 @@ func JoinAtoms(db *Database, atoms []Atom) (*Table, error) {
 }
 
 // JoinTablesOrdered joins tables in exactly the given order (a permutation
-// of table indices), the execution half of cost-based dynamic join
-// ordering: the order comes from the statistics layer's estimator over the
-// actual cardinalities and per-column distinct counts, so unlike
-// JoinTablesGreedy no size-only heuristics are applied here. As soon as an
+// of table indices): the accumulated result starts at tables[order[0]] and
+// each following index is one NaturalJoin step. It is the one multi-table
+// join executor; the order comes from the caller — the statistics layer's
+// cost-based search or GreedyOrderInto's size-greedy pick. As soon as an
 // intermediate is empty, the empty result is built directly over the
-// unioned schema without joining the remaining tables.
+// unioned schema without joining (and hash-indexing) the remaining tables.
+// For a single input the table itself is returned; callers must treat
+// results as immutable.
 func JoinTablesOrdered(tables []*Table, order []int) *Table {
 	acc := tables[order[0]]
 	for k := 1; k < len(order); k++ {
@@ -128,7 +130,7 @@ func JoinTablesOrdered(tables []*Table, order []int) *Table {
 			outVars := append([]string(nil), acc.Vars()...)
 			for _, j := range order[k:] {
 				for _, v := range tables[j].Vars() {
-					if indexOf(outVars, v) < 0 {
+					if !slices.Contains(outVars, v) {
 						outVars = append(outVars, v)
 					}
 				}
@@ -140,66 +142,51 @@ func JoinTablesOrdered(tables []*Table, order []int) *Table {
 	return acc
 }
 
-// JoinTablesGreedy joins tables in the size-aware greedy order: start with
-// the smallest table; repeatedly pick the smallest remaining table that
-// shares a variable with the accumulated result, falling back to the
-// smallest overall (cartesian step) if none does. It is the dynamic
-// counterpart of a compiled JoinPlan, used when the actual cardinalities
-// matter more than saving the per-call ordering analysis; it must not be
-// given an empty slice. The result's column order depends on the join
-// order chosen.
+// JoinTablesGreedy joins tables in the size-aware greedy order
+// (GreedyOrderInto) through JoinTablesOrdered. It must not be given an
+// empty slice. The result's column order depends on the join order chosen.
 func JoinTablesGreedy(tables []*Table) *Table {
-	remaining := make([]int, len(tables))
-	for i := range remaining {
-		remaining[i] = i
-	}
-	sort.Slice(remaining, func(i, j int) bool {
-		return tables[remaining[i]].Len() < tables[remaining[j]].Len()
-	})
+	return JoinTablesOrdered(tables, GreedyOrderInto(tables, make([]int, len(tables))))
+}
 
-	acc := tables[remaining[0]]
-	remaining = remaining[1:]
-	accVars := make(map[string]bool)
-	for _, v := range acc.Vars() {
-		accVars[v] = true
+// GreedyOrderInto returns the size-greedy join order of tables, written
+// into order (whose length must be len(tables)): start with the smallest
+// table; repeatedly pick the smallest remaining table that shares a
+// variable with the tables picked so far, falling back to the smallest
+// overall (a cartesian step) if none does. The pick depends only on the
+// table sizes and schemas, never on intermediate results, so the whole
+// order is fixed before the join runs.
+func GreedyOrderInto(tables []*Table, order []int) []int {
+	for i := range order {
+		order[i] = i
 	}
-	for len(remaining) > 0 {
-		pick := -1
-		for k, idx := range remaining {
-			for _, v := range tables[idx].Vars() {
-				if accVars[v] {
-					pick = k
-					break
-				}
-			}
-			if pick >= 0 {
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(tables[a].Len(), tables[b].Len()) })
+	// order[:k] is the picked prefix and order[k:] the remaining tables,
+	// still sorted by size: the pick rotates into slot k, keeping the rest
+	// in size order.
+	for k := 1; k < len(order); k++ {
+		pick := k // no shared variables anywhere: cartesian step
+		for c := k; c < len(order); c++ {
+			if sharesVar(tables[order[c]], tables, order[:k]) {
+				pick = c
 				break
 			}
 		}
-		if pick < 0 {
-			pick = 0 // no shared variables anywhere: cartesian product
-		}
-		idx := remaining[pick]
-		remaining = append(remaining[:pick], remaining[pick+1:]...)
-		acc = acc.NaturalJoin(tables[idx])
-		for _, v := range tables[idx].Vars() {
-			accVars[v] = true
-		}
-		if acc.Empty() {
-			// The join is already empty; build the empty result directly
-			// over the unioned schema instead of joining (and hash-indexing)
-			// the remaining tables just to recover their columns.
-			outVars := append([]string(nil), acc.Vars()...)
-			for _, j := range remaining {
-				for _, v := range tables[j].Vars() {
-					if !accVars[v] {
-						accVars[v] = true
-						outVars = append(outVars, v)
-					}
-				}
+		p := order[pick]
+		copy(order[k+1:pick+1], order[k:pick])
+		order[k] = p
+	}
+	return order
+}
+
+// sharesVar reports whether t has a column of any of tables[picked...].
+func sharesVar(t *Table, tables []*Table, picked []int) bool {
+	for _, v := range t.Vars() {
+		for _, j := range picked {
+			if tables[j].HasVar(v) {
+				return true
 			}
-			return NewTable(outVars)
 		}
 	}
-	return acc
+	return false
 }

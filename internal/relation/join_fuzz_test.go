@@ -188,3 +188,97 @@ func refSemijoin(a, b *Table) *Table {
 	}
 	return out
 }
+
+// FuzzOrderedJoin differentially tests the one multi-table join executor,
+// JoinTablesOrdered, against the nested-loop reference chain on
+// fuzzer-shaped triples of tables with overlapping columns: every one of
+// the six join orders, and the size-greedy order JoinTablesGreedy picks,
+// must yield the reference tuple set. EqualSet compares the column sets
+// too, so an order whose intermediate runs empty must still return the
+// union of all columns. The greedy order itself must be a permutation that
+// starts with the smallest table.
+//
+// Run with: go test -fuzz='^FuzzOrderedJoin$' ./internal/relation
+func FuzzOrderedJoin(f *testing.F) {
+	f.Add([]byte{})
+	// Chain [A,B] ⋈ [B,C] ⋈ [C,D] with matches.
+	f.Add([]byte{2, 2, 2, 0, 1, 2, 1, 2, 2, 1, 0xFF, 2, 3, 1, 1, 0xFF, 3, 0, 1, 2})
+	// The middle table is empty: every order hits an empty intermediate.
+	f.Add([]byte{2, 2, 2, 0, 1, 2, 1, 2, 2, 1, 0xFF, 0xFF, 3, 0, 1, 2})
+	// [A,B] and [B,C] share B but no value, so their join runs empty while
+	// [C,D] is still to come.
+	f.Add([]byte{2, 2, 2, 0, 1, 2, 1, 1, 2, 1, 0xFF, 2, 3, 0, 3, 0xFF, 3, 0, 1, 2, 2, 2})
+	// Disjoint columns [A], [B], [C]: the greedy order takes cartesian
+	// steps.
+	f.Add([]byte{1, 1, 1, 0, 1, 2, 1, 0xFF, 1, 2, 0xFF, 0, 1, 2})
+	// [A] and [C] share nothing, [A,B,C] links them: the greedy order
+	// skips [C], second by size, for the connected [A,B,C].
+	f.Add([]byte{1, 1, 3, 0, 2, 0, 1, 0xFF, 2, 0, 0xFF, 1, 2, 2, 2, 1, 0, 1, 1, 0})
+	// A zero-column table (the empty tuple) beside two real ones.
+	f.Add([]byte{0, 2, 2, 0, 0, 1, 0, 0xFF, 1, 2, 0, 1, 0xFF, 2, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tables := decodeTables(data, 3)
+		want := refNaturalJoin(refNaturalJoin(tables[0], tables[1]), tables[2])
+		for _, order := range perms3 {
+			if got := JoinTablesOrdered(tables, order); !got.EqualSet(want) {
+				t.Fatalf("order %v: got %v, want %v (tables %v)", order, got, want, tables)
+			}
+		}
+		if got := JoinTablesGreedy(tables); !got.EqualSet(want) {
+			t.Fatalf("greedy: got %v, want %v (tables %v)", got, want, tables)
+		}
+		order := GreedyOrderInto(tables, make([]int, len(tables)))
+		seen := make([]bool, len(tables))
+		for _, i := range order {
+			if i < 0 || i >= len(tables) || seen[i] {
+				t.Fatalf("greedy order %v is not a permutation", order)
+			}
+			seen[i] = true
+		}
+		for _, tab := range tables {
+			if tab.Len() < tables[order[0]].Len() {
+				t.Fatalf("greedy order %v starts with %d rows, a table has %d", order, tables[order[0]].Len(), tab.Len())
+			}
+		}
+	})
+}
+
+// decodeTables deterministically shapes n tables from fuzz bytes: bytes
+// 0..n-1 pick the arities (0..3), bytes n..2n-1 each table's column offset
+// into the first five pool columns (so schemas overlap), then value bytes
+// fill rows table by table, separated by 0xFF. Values are folded into a
+// tiny domain so joins actually match.
+func decodeTables(data []byte, n int) []*Table {
+	at := func(i int) byte {
+		if i < len(data) {
+			return data[i]
+		}
+		return 0
+	}
+	const poolCols = 5
+	tables := make([]*Table, n)
+	for k := range tables {
+		w := int(at(k)) % 4
+		off := int(at(n+k)) % (poolCols - w + 1)
+		tables[k] = NewTable(columnPool[off : off+w])
+	}
+	i := 2 * n
+	for _, tab := range tables {
+		cols := len(tab.Vars())
+		row := make(Tuple, cols)
+		for i < len(data) && data[i] != 0xFF {
+			for c := 0; c < cols; c++ {
+				row[c] = Value(at(i) % 3)
+				i++
+			}
+			tab.Add(row)
+			if cols == 0 {
+				break // a zero-column table holds at most the empty tuple
+			}
+		}
+		if i < len(data) && data[i] == 0xFF {
+			i++
+		}
+	}
+	return tables
+}

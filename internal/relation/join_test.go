@@ -1,10 +1,77 @@
 package relation
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+// orderedTables builds a deterministic random set of n tables over a small
+// variable pool.
+func orderedTables(seed int64, n int) []*Table {
+	rng := rand.New(rand.NewSource(seed))
+	pool := []string{"A", "B", "C", "D", "E"}
+	tables := make([]*Table, n)
+	for i := range tables {
+		w := 1 + rng.Intn(3)
+		perm := rng.Perm(len(pool))[:w]
+		cols := make([]string, w)
+		for k, p := range perm {
+			cols[k] = pool[p]
+		}
+		tab := NewTable(cols)
+		tup := make(Tuple, w)
+		for r := 0; r < rng.Intn(14); r++ {
+			for c := range tup {
+				tup[c] = Value(rng.Intn(4))
+			}
+			tab.Add(tup)
+		}
+		tables[i] = tab
+	}
+	return tables
+}
+
+// perms3 lists every join order of three tables.
+var perms3 = [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+
+// JoinTablesOrdered yields the same tuple set under every order, equal to
+// the size-greedy join's.
+func TestJoinTablesOrdered(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		tables := orderedTables(100+seed, 3)
+		want := JoinTablesGreedy(tables)
+		for _, order := range perms3 {
+			if got := JoinTablesOrdered(tables, order); !got.EqualSet(want) {
+				t.Fatalf("seed %d order %v: ordered %v != greedy %v", seed, order, got, want)
+			}
+		}
+	}
+}
+
+// An empty intermediate ends the join early: with the empty table joined
+// first, no probe pass runs and the empty result spans all four columns.
+func TestJoinTablesOrderedEmptyIntermediate(t *testing.T) {
+	big := NewTable([]string{"A", "B"})
+	tup := make(Tuple, 2)
+	for i := 0; i < 200; i++ {
+		tup[0], tup[1] = Value(i), Value(i%7)
+		big.Add(tup)
+	}
+	empty := NewTable([]string{"B", "C"})
+	small := NewTable([]string{"C", "D"})
+	tup[0], tup[1] = 1, 2
+	small.Add(tup)
+
+	got := JoinTablesOrdered([]*Table{big, empty, small}, []int{1, 2, 0})
+	if !got.Empty() {
+		t.Fatalf("join with empty input yielded %d rows", got.Len())
+	}
+	if !sameVars(got.Vars(), []string{"B", "C", "D", "A"}) {
+		t.Fatalf("empty result schema %v, want [B C D A]", got.Vars())
+	}
+}
 
 // chainDB builds p = {(1,10),(2,20)}, q = {(10,100),(20,200),(99,999)}.
 func chainDB() *Database {

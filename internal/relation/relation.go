@@ -350,6 +350,16 @@ func (db *Database) Clone() *Database {
 	return c
 }
 
+// Unchanged reports whether relation name resolves to the same *Relation
+// in db and in old, an earlier version db was derived from by Extend.
+// Extend shares unchanged relations by pointer, so pointer equality is
+// exactly "this relation's rows did not change"; a relation missing from
+// db counts as changed.
+func (db *Database) Unchanged(old *Database, name string) bool {
+	r := db.Relation(name)
+	return r != nil && r == old.Relation(name)
+}
+
 // Extend returns a new database version sharing the dictionary and every
 // relation not named in replace; the named relations are swapped in (new
 // names append to the creation order). It is the copy-on-write step behind

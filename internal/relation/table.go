@@ -161,64 +161,39 @@ func (t *Table) ProjectS(vars []string, sc *Scratch) *Table {
 	return out
 }
 
-// sharedVars returns the variables common to t and u, in t's column order.
-func (t *Table) sharedVars(u *Table) []string {
-	var shared []string
-	for _, v := range t.vars {
-		if u.HasVar(v) {
-			shared = append(shared, v)
-		}
-	}
-	return shared
-}
-
-// sharedPos resolves the positions of the shared columns on both sides.
-func sharedPos(t, u *Table) (shared []string, tPos, uPos []int) {
-	shared = t.sharedVars(u)
-	tPos = make([]int, len(shared))
-	uPos = make([]int, len(shared))
-	for i, v := range shared {
-		tPos[i] = t.Pos(v)
-		uPos[i] = u.Pos(v)
-	}
-	return shared, tPos, uPos
-}
-
 // NaturalJoin returns t ⋈ u: tuples over the union of columns (t's columns
-// first, then u's remaining columns) that agree on all shared columns.
+// first, then u's remaining columns) that agree on all shared columns. The
+// smaller side is hashed on the shared columns with integer hashing; the
+// output needs no dedup probes because the join of two sets is a set (each
+// output row determines its t and u source rows).
 func (t *Table) NaturalJoin(u *Table) *Table {
-	_, tPos, uPos := sharedPos(t, u)
-
-	// Output columns: t's columns then u's extra columns.
-	outVars := append([]string(nil), t.vars...)
-	uExtra := make([]int, 0, len(u.vars)) // u-positions feeding the extra columns
+	// One pass over u's columns resolves the shared positions on both
+	// sides and the u-positions feeding the extra output columns, all in
+	// one buffer.
+	n := len(u.vars)
+	pos := make([]int, 3*n)
+	tPos, uPos, uExtra := pos[:0:n], pos[n:n:2*n], pos[2*n:2*n]
+	outVars := make([]string, len(t.vars), len(t.vars)+n)
+	copy(outVars, t.vars)
 	for p, v := range u.vars {
-		if !t.HasVar(v) {
+		if q := t.Pos(v); q >= 0 {
+			tPos = append(tPos, q)
+			uPos = append(uPos, p)
+		} else {
 			outVars = append(outVars, v)
 			uExtra = append(uExtra, p)
 		}
 	}
-	return hashJoin(t, u, tPos, uPos, uExtra, outVars)
-}
-
-// hashJoin executes one build/probe natural-join pass: left ⋈ right over
-// the precomputed shared-column positions leftPos/rightPos, emitting left's
-// columns followed by right's rightExtra positions, as outVars. The smaller
-// side is hashed on the shared columns with integer hashing; the output
-// needs no dedup probes because the join of two sets is a set (each output
-// row determines its left and right source rows). Both NaturalJoin and the
-// compiled joinStep execute through this one loop.
-func hashJoin(left, right *Table, leftPos, rightPos, rightExtra []int, outVars []string) *Table {
-	out := NewTableCap(outVars, max(left.nrows, right.nrows))
+	out := NewTableCap(outVars, max(t.nrows, u.nrows))
 	buf := make(Tuple, len(outVars))
-	leftW := len(left.vars)
+	tW := len(t.vars)
 
-	build, probe := right, left
-	buildPos, probePos := rightPos, leftPos
+	build, probe := u, t
+	buildPos, probePos := uPos, tPos
 	swapped := false
-	if left.nrows < right.nrows {
-		build, probe = left, right
-		buildPos, probePos = leftPos, rightPos
+	if t.nrows < u.nrows {
+		build, probe = t, u
+		buildPos, probePos = tPos, uPos
 		swapped = true
 	}
 	idx := buildChainIndex(&build.colStore, buildPos)
@@ -230,13 +205,13 @@ func hashJoin(left, right *Table, leftPos, rightPos, rightExtra []int, outVars [
 			if !equalAt(prow, probePos, brow, buildPos) {
 				continue
 			}
-			lrow, rrow := prow, brow
+			trow, urow := prow, brow
 			if swapped {
-				lrow, rrow = brow, prow
+				trow, urow = brow, prow
 			}
-			copy(buf, lrow)
-			for i, p := range rightExtra {
-				buf[leftW+i] = rrow[p]
+			copy(buf, trow)
+			for i, p := range uExtra {
+				buf[tW+i] = urow[p]
 			}
 			out.addUnique(buf)
 		}

@@ -10,7 +10,7 @@
 //     equality selections) together with per-variable distinct counts;
 //   - JoinEst composes two estimates through the standard join-size
 //     formula |A ⋈ B| ≈ |A|·|B| / Π_shared max(d_A(v), d_B(v));
-//   - Order picks a join order for a set of inputs: exact dynamic
+//   - OrderInto picks a join order for a set of inputs: exact dynamic
 //     programming over left-deep orders for up to OrderDPMax inputs, a
 //     greedy minimum-growth order above.
 //
@@ -38,7 +38,7 @@ import (
 // MCVEntries is k of the top-k most-common-value sketch kept per column.
 const MCVEntries = 8
 
-// OrderDPMax is the largest input count Order plans exactly (left-deep
+// OrderDPMax is the largest input count OrderInto plans exactly (left-deep
 // dynamic programming over 2^n subsets); larger sets fall back to the
 // greedy minimum-growth order.
 const OrderDPMax = 8
@@ -411,7 +411,7 @@ func JoinEst(a, b Est) Est {
 }
 
 // WithRows returns a copy of the estimate with the row count replaced by
-// an observed actual — the usual way to build an Order input: base-atom
+// an observed actual — the usual way to build an OrderInto input: base-atom
 // distinct estimates against the materialized (or reduced) table's true
 // cardinality.
 func (e Est) WithRows(rows float64) Est {
@@ -433,9 +433,9 @@ func (e *Est) clampedDistinct(v string) float64 {
 	return -1
 }
 
-// Order returns a join order (a permutation of input indices) minimizing
-// the estimated sum of intermediate result sizes. Up to OrderDPMax inputs
-// it is the exact optimum over left-deep orders by dynamic programming on
+// OrderInto returns a join order (a permutation of input indices, written
+// into out, whose length must be len(in)) minimizing the estimated sum of
+// intermediate result sizes. Up to OrderDPMax inputs it is the exact optimum over left-deep orders by dynamic programming on
 // subsets; above that a greedy minimum-growth order (start with the
 // smallest input, repeatedly append the input minimizing the estimated
 // next intermediate). Cartesian steps are allowed but priced at the full
@@ -443,13 +443,8 @@ func (e *Est) clampedDistinct(v string) float64 {
 //
 // Each input is an Est, usually a base-atom estimate with Rows replaced
 // by the actual table cardinality (Est.WithRows); distinct counts larger
-// than the row count are clamped during planning.
-func Order(in []Est) []int {
-	return OrderInto(in, make([]int, len(in)))
-}
-
-// OrderInto is Order writing the permutation into out (len(out) must be
-// len(in)), so hot-path callers can keep the order on a stack buffer.
+// than the row count are clamped during planning. Hot-path callers keep
+// out on a stack or pooled buffer.
 func OrderInto(in []Est, out []int) []int {
 	n := len(in)
 	for i := range out {

@@ -161,7 +161,7 @@ func TestOrderPermutation(t *testing.T) {
 					Distinct: []float64{float64(rng.Intn(100)), float64(rng.Intn(100))},
 				}
 			}
-			order := stats.Order(in)
+			order := stats.OrderInto(in, make([]int, len(in)))
 			if len(order) != n {
 				t.Fatalf("n=%d: order length %d", n, len(order))
 			}
@@ -186,7 +186,7 @@ func TestOrderAvoidsExplosiveJoin(t *testing.T) {
 		{Rows: 200, Vars: []string{"Y", "Z"}, Distinct: []float64{3, 200}},  // B: skewed Y, uniform Z
 		{Rows: 200, Vars: []string{"Z", "W"}, Distinct: []float64{200, 50}}, // C: uniform Z
 	}
-	order := stats.Order(in)
+	order := stats.OrderInto(in, make([]int, len(in)))
 	first, second := order[0], order[1]
 	if (first == 0 && second == 1) || (first == 1 && second == 0) {
 		t.Fatalf("cost order %v starts with the explosive A ⋈ B pair", order)
@@ -226,7 +226,7 @@ func TestOrderedJoinMatchesGreedy(t *testing.T) {
 			}
 			in[i] = stats.Est{Rows: float64(tab.Len()), Vars: cols, Distinct: dist}
 		}
-		got := relation.JoinTablesOrdered(tables, stats.Order(in))
+		got := relation.JoinTablesOrdered(tables, stats.OrderInto(in, make([]int, len(in))))
 		want := relation.JoinTablesGreedy(tables)
 		if !got.EqualSet(want) {
 			t.Fatalf("trial %d: ordered join %v != greedy join %v", trial, got, want)
