@@ -50,6 +50,36 @@ func TestJoinTablesOrdered(t *testing.T) {
 	}
 }
 
+// Every order-pinned join must produce the same tuple set as the
+// shape-greedy join (JoinTablesGreedy), over every order of small inputs,
+// and its schema lists the variables in first-appearance order along the
+// join order.
+func TestCompileJoinPlanOrderMatchesShapePlan(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		tables := orderedTables(seed, 3)
+		want := JoinTablesGreedy(tables)
+		for _, order := range perms3 {
+			got := JoinTablesOrdered(tables, order)
+			if !got.EqualSet(want) {
+				t.Fatalf("seed %d order %v: %v != %v", seed, order, got, want)
+			}
+			var vars []string
+			seen := map[string]bool{}
+			for _, i := range order {
+				for _, v := range tables[i].Vars() {
+					if !seen[v] {
+						seen[v] = true
+						vars = append(vars, v)
+					}
+				}
+			}
+			if !sameVars(got.Vars(), vars) {
+				t.Fatalf("seed %d order %v: result schema %v, want %v", seed, order, got.Vars(), vars)
+			}
+		}
+	}
+}
+
 // An empty intermediate ends the join early: with the empty table joined
 // first, no probe pass runs and the empty result spans all four columns.
 func TestJoinTablesOrderedEmptyIntermediate(t *testing.T) {
