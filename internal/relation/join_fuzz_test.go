@@ -8,11 +8,14 @@ import (
 // quadratic nested-loop reference on fuzzer-shaped table pairs: arbitrary
 // arities (0..4), arbitrary column overlap (including none — the cartesian
 // cases — and full), repeated values, and asymmetric sizes that flip the
-// build/probe sides. NaturalJoin, Semijoin and SemijoinCount must all agree
-// with the reference exactly, and so must both counts of the one-pass
-// SemijoinCounts kernel and of a KeyCounts index built on either side (the
-// row-set path when all of the indexed side's columns are shared, the
-// key-count path otherwise).
+// build/probe sides. NaturalJoin, Semijoin and SemijoinCount, with and
+// without a reused Scratch, must all agree with the reference exactly, and
+// so must both counts of the one-pass SemijoinCounts kernel and of a
+// KeyCounts index built on either side (the row-set path when all of the
+// indexed side's columns are shared, the key-count path otherwise),
+// including an index PairCounts reuses for a second head. Keys of one or
+// two columns take the packed paths of these kernels, wider keys the
+// generic ones.
 //
 // Run with: go test -fuzz=FuzzJoin ./internal/relation
 func FuzzJoin(f *testing.F) {
@@ -28,6 +31,16 @@ func FuzzJoin(f *testing.F) {
 	f.Add([]byte{3, 1, 1, 1, 2, 3, 1, 3, 3, 2, 2, 2, 0xFF, 2, 3})
 	// Duplicate keys on the scanned side: [A,B] rows repeat B against [B].
 	f.Add([]byte{2, 1, 1, 0, 1, 1, 1, 2, 1, 3, 2, 0xFF, 1, 2})
+	// Wide values (see decodeTablePair) on keys of one, two and three
+	// shared columns: [A,B]/[B,C], [A,B,C]/[B,C,D] and [A,B,C,D]/[B,C,D,E].
+	// The first two index through the packed path, the third through the
+	// generic one. Each width comes once with near-balanced sides (the
+	// semijoin kernels index u and probe t) and once with a side of 96
+	// rows against 1 (they index the small side and scan the large one).
+	for keyCols := 1; keyCols <= 3; keyCols++ {
+		f.Add(widePairSeed(keyCols, 12, 9))
+		f.Add(widePairSeed(keyCols, 1, 96))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		left, right := decodeTablePair(data)
 		checkJoinAgainstReference(t, left, right)
@@ -40,10 +53,13 @@ func FuzzJoin(f *testing.F) {
 var columnPool = []string{"A", "B", "C", "D", "E", "F", "G", "H"}
 
 // decodeTablePair deterministically shapes two tables from fuzz bytes:
-// byte 0 and 1 pick the arities (0..4), byte 2 the column offset of the
-// right table (overlap 0..arity), then value bytes fill rows — first the
-// left table, then, after a 0xFF separator, the right. Values are folded
-// into a tiny domain so joins actually match.
+// byte 0 and 1 pick the arities (0..4), the low seven bits of byte 2 the
+// column offset of the right table (overlap 0..arity), then value bytes
+// fill rows — first the left table, then, after a 0xFF separator, the
+// right. Values are folded into a tiny domain so joins actually match.
+// When byte 2's high bit is set the values are instead spread over the
+// whole int32 range, negatives included (wideValue), so that both halves
+// of a packed two-column key and the high bits its hash keeps vary.
 func decodeTablePair(data []byte) (*Table, *Table) {
 	at := func(i int) byte {
 		if i < len(data) {
@@ -53,9 +69,10 @@ func decodeTablePair(data []byte) (*Table, *Table) {
 	}
 	n1 := int(at(0)) % 5
 	n2 := int(at(1)) % 5
+	wide := at(2)&0x80 != 0
 	off := 0
 	if n1 > 0 {
-		off = int(at(2)) % (n1 + 1)
+		off = int(at(2)&0x7F) % (n1 + 1)
 	}
 	if off+n2 > len(columnPool) {
 		off = len(columnPool) - n2
@@ -68,7 +85,11 @@ func decodeTablePair(data []byte) (*Table, *Table) {
 		row := make(Tuple, cols)
 		for i < len(data) && data[i] != 0xFF {
 			for c := 0; c < cols; c++ {
-				row[c] = Value(at(i) % 4)
+				if wide {
+					row[c] = wideValue(at(i))
+				} else {
+					row[c] = Value(at(i) % 4)
+				}
 				i++
 			}
 			t.Add(row)
@@ -83,6 +104,43 @@ func decodeTablePair(data []byte) (*Table, *Table) {
 	}
 	fill(right, n2)
 	return left, right
+}
+
+// wideValue maps a value byte to one of 16 values spread over the whole
+// int32 range, so rows still match often: byte b picks the top four bits
+// (half of the values are negative), and b%4 the low 28. Values four
+// classes apart differ only in their top bits, so a key packed or hashed
+// from too few of a value's bits merges them.
+func wideValue(b byte) Value {
+	return Value(int32(uint32(b%16)<<28 | uint32(b%4)*0x02AAAAAB))
+}
+
+// widePairSeed encodes a wide-value FuzzJoin input whose two tables share
+// keyCols columns: leftRows rows over [A, key...] and rightRows rows over
+// [key..., own]. Key values come from six classes (see wideValue), four of
+// which differ only in their top bits, two of them negative. The right
+// side's keys count up through every combination, its own column keeping
+// its rows distinct; the left side's keys step by seven, so some match and
+// some differ from a right key in one column only.
+func widePairSeed(keyCols, leftRows, rightRows int) []byte {
+	classes := []byte{0, 4, 8, 12, 1, 9}
+	data := []byte{byte(keyCols + 1), byte(keyCols + 1), 0x80 | 1}
+	key := func(n int) int { // appends n's base-6 digits as classes
+		for c := 0; c < keyCols; c++ {
+			data = append(data, classes[n%6])
+			n /= 6
+		}
+		return n
+	}
+	for i := 0; i < leftRows; i++ {
+		data = append(data, byte(i%16))
+		key(7 * i)
+	}
+	data = append(data, 0xFF)
+	for r := 0; r < rightRows; r++ {
+		data = append(data, byte(key(r)%16))
+	}
+	return data
 }
 
 // checkJoinAgainstReference compares every join operator on (a, b) with the
@@ -109,6 +167,15 @@ func checkJoinAgainstReference(t *testing.T, a, b *Table) {
 			t.Fatalf("SemijoinCounts = (%d, %d), want (%d, %d) (a=%v b=%v)", ab, ba, wantAB, wantBA, a, b)
 		}
 	}
+	// The scratch variants, on a scratch whose buffers were used before.
+	for pass := 0; pass < 2; pass++ {
+		if got := a.SemijoinS(b, sc); !got.EqualSet(wantSemi) {
+			t.Fatalf("SemijoinS pass %d mismatch:\n a=%v\n b=%v\n got=%v\n want=%v", pass, a, b, got, wantSemi)
+		}
+		if got := a.SemijoinCountS(b, sc); got != wantAB {
+			t.Fatalf("SemijoinCountS pass %d = %d, want %d (a=%v b=%v)", pass, got, wantAB, a, b)
+		}
+	}
 	// An index built on a answers repeated passes against b (the pass
 	// stamps must not leak between them).
 	var ix KeyCounts
@@ -123,6 +190,20 @@ func checkJoinAgainstReference(t *testing.T, a, b *Table) {
 	}
 	if ba, ab := ix.PairCounts(b, a, sc); ab != wantAB || ba != wantBA {
 		t.Fatalf("PairCounts = (%d, %d), want (%d, %d) (a=%v b=%v)", ba, ab, wantBA, wantAB, a, b)
+	}
+	// From a fresh index, PairCounts builds on a for a second head over
+	// b's columns (every other row of b, in reverse order), and b itself
+	// then reuses that index whenever one was built.
+	ix.Reset(sc)
+	h := NewTable(b.Vars())
+	for r := b.Len() - 1; r >= 0; r -= 2 {
+		h.Add(b.Row(r))
+	}
+	if ha, ah := ix.PairCounts(h, a, sc); ha != refSemijoin(h, a).Len() || ah != refSemijoin(a, h).Len() {
+		t.Fatalf("PairCounts(h, a) = (%d, %d), want (%d, %d) (a=%v h=%v)", ha, ah, refSemijoin(h, a).Len(), refSemijoin(a, h).Len(), a, h)
+	}
+	if ba, ab := ix.PairCounts(b, a, sc); ab != wantAB || ba != wantBA {
+		t.Fatalf("PairCounts after a second head = (%d, %d), want (%d, %d) (a=%v b=%v)", ba, ab, wantBA, wantAB, a, b)
 	}
 	ix.Reset(sc)
 }

@@ -9,16 +9,18 @@ package relation
 //
 // When every column of the indexed side is a key column, the table's own
 // row set is the index (each key occurs in exactly one row) and nothing is
-// built. Otherwise the distinct keys are stored in a table drawn from the
-// Scratch, which Reset hands back.
+// built. Otherwise a key of one or two columns is packed into a word and
+// counted in a packedIndex the KeyCounts keeps; wider keys are stored in a
+// table drawn from the Scratch, which Reset hands back.
 //
 // The zero value is an empty index. Like a Scratch, a KeyCounts is owned
 // by one goroutine at a time; the index references its source table, which
 // must stay unchanged until Reset.
 type KeyCounts struct {
 	src    *Table
-	keys   *Table   // distinct keys; src itself on the row-set path
-	counts []int32  // counts[k]: rows of src with key k (unused on the row-set path)
+	keys   *Table      // distinct keys; src itself on the row-set path, nil on the packed path
+	packed packedIndex // the packed path's keys and counts
+	counts []int32     // counts[k]: rows of src with key k (generic path only)
 	seen   []uint32 // seen[k] == pass: key k already matched during this pass
 	pass   uint32
 	vars   []string // key columns, in src's column order
@@ -71,7 +73,8 @@ func (ix *KeyCounts) Reset(sc *Scratch) {
 
 // build indexes src on the columns it shares with u, in src's column
 // order, replacing whatever the index held. Storage for the distinct keys
-// is drawn from sc (nil sc allocates); the row-set path needs none.
+// of the generic path is drawn from sc (nil sc allocates); the row-set and
+// packed paths draw none.
 func (ix *KeyCounts) build(src, u *Table, sc *Scratch) {
 	ix.Reset(sc)
 	ix.src = src
@@ -90,6 +93,10 @@ func (ix *KeyCounts) build(src, u *Table, sc *Scratch) {
 	}
 	if sc != nil {
 		sc.ops.KeyIndexes++
+	}
+	if packable(len(srcPos)) {
+		ix.packed.countKeys(&src.colStore, srcPos)
+		return
 	}
 	keys := sc.outTable(vars, src.nrows)
 	counts := ix.counts[:0]
@@ -120,7 +127,7 @@ func (ix *KeyCounts) grow(n int) {
 // keyedFor reports whether the index is built and keyed on exactly the
 // columns its source shares with u, i.e. whether count(u) may reuse it.
 func (ix *KeyCounts) keyedFor(u *Table) bool {
-	if ix.keys == nil {
+	if ix.src == nil {
 		return false
 	}
 	k := 0
@@ -147,7 +154,11 @@ func (ix *KeyCounts) count(u *Table, sc *Scratch) (srcRows, uRows int) {
 	ix.pass++
 	if ix.pass == 0 {
 		clear(ix.seen)
+		ix.packed.clearMarks()
 		ix.pass = 1
+	}
+	if ix.keys == nil {
+		return ix.countPacked(u)
 	}
 	keys, seen, pass := ix.keys, ix.seen, ix.pass
 	rowSet := keys == ix.src
@@ -169,6 +180,23 @@ func (ix *KeyCounts) count(u *Table, sc *Scratch) (srcRows, uRows int) {
 					srcRows += int(ix.counts[k])
 				}
 			}
+		}
+	}
+	return srcRows, uRows
+}
+
+// countPacked is count on the packed path.
+func (ix *KeyCounts) countPacked(u *Table) (srcRows, uRows int) {
+	p, pos, pass := &ix.packed, ix.pos, ix.pass
+	for r := 0; r < u.nrows; r++ {
+		s := p.find(packAt(u.row(r), pos))
+		if s == nil {
+			continue
+		}
+		uRows++
+		if s.mark != pass {
+			s.mark = pass
+			srcRows += int(s.rows)
 		}
 	}
 	return srcRows, uRows

@@ -30,9 +30,10 @@ func TestScratchOps(t *testing.T) {
 
 	// Each counted pair adds one SemijoinCounts. Only a key-count build
 	// adds a KeyIndexes: a.SemijoinCounts(b) uses b's own row set and
-	// builds nothing; PairCounts(b, a) indexes a on Y, the two c counts
-	// (keyed on Y too) reuse that index, and Reset hands it back through
-	// Release.
+	// builds nothing; PairCounts(b, a) indexes a on Y, and the two c
+	// counts (keyed on Y too) reuse that index. A one-column key is packed
+	// into the KeyCounts' own slots, so Reset has no key table to hand
+	// back through Release.
 	sc.ResetOps()
 	a.SemijoinCounts(b, sc)
 	c := NewTable([]string{"Y", "Z"})
@@ -44,7 +45,7 @@ func TestScratchOps(t *testing.T) {
 		t.Fatalf("PairCounts(c, a) = (%d, %d), want (1, 1)", hb, bh)
 	}
 	ix.Reset(sc)
-	want = Ops{SemijoinCounts: 4, KeyIndexes: 1, Released: 1}
+	want = Ops{SemijoinCounts: 4, KeyIndexes: 1}
 	if got := sc.Ops(); got != want {
 		t.Fatalf("counting Ops() = %+v, want %+v", got, want)
 	}

@@ -35,6 +35,7 @@ type Scratch struct {
 	sample     []int
 	free       []*Table
 	kc         KeyCounts
+	packed     packedIndex
 	ops        Ops
 }
 
