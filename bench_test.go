@@ -418,6 +418,49 @@ func BenchmarkParallelStream(b *testing.B) {
 	}
 }
 
+// BenchmarkDecideWorkload runs exact DecideFirst on the decision workload
+// (workload.DecideDB: four 25k-row binary bodies, six 97-row unary heads,
+// R(Y) <- P(X,Y)), where nearly all the work is counting semijoin
+// cardinalities between a body and its heads. Every (body, head) pair has
+// confidence 1/5, so cnf at k = 1/2 is a NO that counts all 24 pairs and
+// cnf at k = 1/10 a YES on the first pair; sup at k = 1/2 is a YES whose
+// support fraction, |J(body) ⋉ p_i| / |p_i|, is counted on a body alone.
+// Each runs sequentially and on two workers, after a warm pass that fills
+// the shared atom-table cache.
+func BenchmarkDecideWorkload(b *testing.B) {
+	eng := engine.NewEngine(workload.DecideDB())
+	mq := core.MustParse("R(Y) <- P(X,Y)")
+	ctx := context.Background()
+	for _, c := range []struct {
+		name    string
+		ix      core.Index
+		k       rat.Rat
+		wantYes bool
+	}{
+		{"cnf-no", core.Cnf, rat.New(1, 2), false},
+		{"cnf-yes", core.Cnf, rat.New(1, 10), true},
+		{"sup", core.Sup, rat.New(1, 2), true},
+	} {
+		for _, workers := range []int{1, 2} {
+			prep, err := eng.Prepare(mq, engine.Options{Type: core.Type0, Workers: workers})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if yes, _, err := prep.DecideFirst(ctx, c.ix, c.k); err != nil || yes != c.wantYes {
+				b.Fatalf("%s: DecideFirst = %v, %v; want %v", c.name, yes, err, c.wantYes)
+			}
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := prep.DecideFirst(ctx, c.ix, c.k); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkDecideFirst measures the dedicated first-witness decision path
 // against the deprecated FindRules-with-Limit-1 idiom, with YES and NO
 // verdicts benchmarked separately (the ROADMAP "decider asymmetry": a NO

@@ -74,15 +74,26 @@ func (l LiteralScheme) Vars() []string {
 // literal schemes are the same element of ls(MQ) (literal schemes form a
 // set in the paper).
 func (l LiteralScheme) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(l.appendKey(buf[:0]))
+}
+
+// appendKey appends the Key rendering of l to dst. Map lookups index with
+// string(l.appendKey(stackBuf)), which the compiler performs without
+// allocating a string.
+func (l LiteralScheme) appendKey(dst []byte) []byte {
 	if l.PredVar {
-		b.WriteByte('?')
+		dst = append(dst, '?')
 	}
-	b.WriteString(l.Pred)
-	b.WriteByte('(')
-	b.WriteString(strings.Join(l.Args, ","))
-	b.WriteByte(')')
-	return b.String()
+	dst = append(dst, l.Pred...)
+	dst = append(dst, '(')
+	for i, a := range l.Args {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, a...)
+	}
+	return append(dst, ')')
 }
 
 // String renders the scheme in the paper's syntax. Relation names that

@@ -90,8 +90,9 @@ func (s *Instantiation) Assign(l LiteralScheme, a relation.Atom) error {
 	if !l.PredVar {
 		return fmt.Errorf("core: assigning to non-pattern scheme %s", l)
 	}
-	key := l.Key()
-	if prev, ok := s.assign[key]; ok {
+	var buf [64]byte
+	key := l.appendKey(buf[:0])
+	if prev, ok := s.assign[string(key)]; ok {
 		if !prev.Equal(a) {
 			return fmt.Errorf("core: pattern %s already assigned to %s", l, prev)
 		}
@@ -100,7 +101,7 @@ func (s *Instantiation) Assign(l LiteralScheme, a relation.Atom) error {
 	if rel, ok := s.relOf[l.Pred]; ok && rel != a.Pred {
 		return fmt.Errorf("core: predicate variable %s already mapped to %s, cannot map to %s", l.Pred, rel, a.Pred)
 	}
-	s.assign[key] = a
+	s.assign[string(key)] = a
 	s.relOf[l.Pred] = a.Pred
 	return nil
 }
@@ -109,16 +110,17 @@ func (s *Instantiation) Assign(l LiteralScheme, a relation.Atom) error {
 // bookkeeping: the predicate variable's relation binding is dropped when no
 // other assigned pattern uses that predicate variable.
 func (s *Instantiation) Unassign(l LiteralScheme) {
-	key := l.Key()
-	if _, ok := s.assign[key]; !ok {
+	var buf [64]byte
+	key := l.appendKey(buf[:0])
+	if _, ok := s.assign[string(key)]; !ok {
 		return
 	}
-	delete(s.assign, key)
+	delete(s.assign, string(key))
 	// Drop the σ' binding unless another assigned pattern shares the
 	// predicate variable. Pattern keys encode "?Pred(args)".
-	prefix := "?" + l.Pred + "("
+	n := len(l.Pred) + 1
 	for k := range s.assign {
-		if strings.HasPrefix(k, prefix) {
+		if len(k) > n && k[n] == '(' && k[1:n] == l.Pred {
 			return
 		}
 	}
@@ -127,7 +129,8 @@ func (s *Instantiation) Unassign(l LiteralScheme) {
 
 // AtomFor returns the atom assigned to pattern l, if any.
 func (s *Instantiation) AtomFor(l LiteralScheme) (relation.Atom, bool) {
-	a, ok := s.assign[l.Key()]
+	var buf [64]byte
+	a, ok := s.assign[string(l.appendKey(buf[:0]))]
 	return a, ok
 }
 
@@ -178,7 +181,7 @@ func (s *Instantiation) applyScheme(l LiteralScheme) (relation.Atom, error) {
 	if !l.PredVar {
 		return l.Atom(), nil
 	}
-	a, ok := s.assign[l.Key()]
+	a, ok := s.AtomFor(l)
 	if !ok {
 		return relation.Atom{}, fmt.Errorf("core: pattern %s unassigned", l)
 	}

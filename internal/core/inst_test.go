@@ -384,3 +384,53 @@ func TestUnassignRelationOfString(t *testing.T) {
 		t.Fatalf("Len = %d after full unassign", s.Len())
 	}
 }
+
+// TestInstantiationLookupsDoNotAllocate pins the render-free pattern
+// lookups: AtomFor, an idempotent re-Assign and an Unassign of an absent
+// pattern render the pattern key into a stack buffer and build no string.
+func TestInstantiationLookupsDoNotAllocate(t *testing.T) {
+	s := NewInstantiation()
+	p, q := Pattern("P", "X", "Y"), Pattern("Q", "Y")
+	a := relation.NewAtom("a", "X", "Y")
+	if err := s.Assign(p, a); err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]func(){
+		"AtomFor hit":       func() { s.AtomFor(p) },
+		"AtomFor miss":      func() { s.AtomFor(q) },
+		"re-Assign":         func() { _ = s.Assign(p, a) },
+		"Unassign (absent)": func() { s.Unassign(q) },
+	} {
+		if got := testing.AllocsPerRun(100, f); got != 0 {
+			t.Errorf("%s allocated %.1f times, want 0", name, got)
+		}
+	}
+}
+
+// TestUnassignKeepsSharedPredicateVariable checks σ' bookkeeping on
+// Unassign: a predicate variable stays bound while another of its patterns
+// is assigned, and a variable whose name extends it (PQ for P) does not
+// count as sharing it.
+func TestUnassignKeepsSharedPredicateVariable(t *testing.T) {
+	s := NewInstantiation()
+	p1, p2, pq := Pattern("P", "X", "Y"), Pattern("P", "Y", "X"), Pattern("PQ", "X")
+	for _, as := range []struct {
+		l LiteralScheme
+		a relation.Atom
+	}{{p1, relation.NewAtom("a", "X", "Y")}, {p2, relation.NewAtom("a", "Y", "X")}, {pq, relation.NewAtom("b", "X")}} {
+		if err := s.Assign(as.l, as.a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Unassign(p1)
+	if rel, ok := s.RelationOf("P"); !ok || rel != "a" {
+		t.Fatalf("P unbound after unassigning one of its two patterns: %q, %v", rel, ok)
+	}
+	s.Unassign(p2)
+	if _, ok := s.RelationOf("P"); ok {
+		t.Fatal("P still bound after unassigning both of its patterns (PQ's pattern must not count)")
+	}
+	if rel, ok := s.RelationOf("PQ"); !ok || rel != "b" {
+		t.Fatalf("PQ lost its binding: %q, %v", rel, ok)
+	}
+}

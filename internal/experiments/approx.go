@@ -8,7 +8,7 @@ import (
 	"github.com/mqgo/metaquery/internal/core"
 	"github.com/mqgo/metaquery/internal/engine"
 	"github.com/mqgo/metaquery/internal/rat"
-	"github.com/mqgo/metaquery/internal/relation"
+	"github.com/mqgo/metaquery/internal/workload"
 )
 
 // runE26 measures the ε–δ approximate decision path against the exact
@@ -35,30 +35,12 @@ func runE26(ctx context.Context, quick bool) (*Result, error) {
 		Header: []string{"k", "exact", "approx", "exact-wall", "approx-wall", "speedup", "samples", "escalated"}}
 
 	const (
-		bodyRels = 4
-		rowsPer  = 25_000
-		headRels = 6
-		headVals = 97
+		bodyRels = workload.DecideBodyRels
+		rowsPer  = workload.DecideBodyRows
+		headRels = workload.DecideHeadRels
+		headVals = workload.DecideHeadVals
 	)
-	db := relation.NewDatabase()
-	for i := 0; i < bodyRels; i++ {
-		name := fmt.Sprintf("p%d", i)
-		for j := 0; j < rowsPer; j++ {
-			// Column 0 is a unique key; column 1 hits the shared head
-			// domain on every fifth row and is otherwise private noise.
-			v := fmt.Sprintf("z%d-%d", i, j)
-			if j%5 == 0 {
-				v = fmt.Sprintf("v%d", j%headVals)
-			}
-			db.MustInsertNamed(name, fmt.Sprintf("p%dx%d", i, j), v)
-		}
-	}
-	for i := 0; i < headRels; i++ {
-		name := fmt.Sprintf("h%d", i)
-		for k := 0; k < headVals; k++ {
-			db.MustInsertNamed(name, fmt.Sprintf("v%d", k))
-		}
-	}
+	db := workload.DecideDB()
 	total := bodyRels*rowsPer + headRels*headVals
 
 	mq := core.MustParse("R(Y) <- P(X,Y)")

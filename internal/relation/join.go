@@ -24,7 +24,7 @@ func FromAtom(db *Database, a Atom) (*Table, error) {
 			a.String(), len(a.Terms), a.Pred, r.Arity())
 	}
 	vars := a.Vars()
-	out := NewTableCap(vars, r.Len())
+	out := newTableOwning(vars, r.Len())
 	firstPos := make(map[string]int, len(vars)) // variable -> first term position
 	for i, t := range a.Terms {
 		if t.IsVar() {
@@ -135,7 +135,7 @@ func JoinTablesOrdered(tables []*Table, order []int) *Table {
 					}
 				}
 			}
-			return NewTable(outVars)
+			return newTableOwning(outVars, 0)
 		}
 		acc = acc.NaturalJoin(tables[order[k]])
 	}

@@ -31,7 +31,12 @@ func NewTable(vars []string) *Table {
 // NewTableCap is NewTable with storage preallocated for capRows rows; use it
 // when the result cardinality is known (or bounded) in advance.
 func NewTableCap(vars []string, capRows int) *Table {
-	t := &Table{vars: append([]string(nil), vars...)}
+	return newTableOwning(append([]string(nil), vars...), capRows)
+}
+
+// newTableOwning is NewTableCap taking ownership of vars instead of
+// copying it: the caller must not modify vars afterwards.
+func newTableOwning(vars []string, capRows int) *Table {
 	for i, v := range vars {
 		for j := 0; j < i; j++ {
 			if vars[j] == v {
@@ -39,6 +44,7 @@ func NewTableCap(vars []string, capRows int) *Table {
 			}
 		}
 	}
+	t := &Table{vars: vars}
 	t.init(len(vars), capRows)
 	return t
 }
@@ -184,7 +190,7 @@ func (t *Table) NaturalJoin(u *Table) *Table {
 			uExtra = append(uExtra, p)
 		}
 	}
-	out := NewTableCap(outVars, max(t.nrows, u.nrows))
+	out := newTableOwning(outVars, max(t.nrows, u.nrows))
 	buf := make(Tuple, len(outVars))
 	tW := len(t.vars)
 

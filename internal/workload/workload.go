@@ -52,6 +52,41 @@ func DB1Extended() *relation.Database {
 // MQ4 returns the paper's running metaquery (4): R(X,Z) <- P(X,Y), Q(Y,Z).
 func MQ4() *core.Metaquery { return core.MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)") }
 
+// The decision workload: big data, tiny answers. Four 25k-row binary
+// body relations p0..p3 and six unary head relations h0..h5 over 97
+// values, for the metaquery R(Y) <- P(X,Y).
+const (
+	DecideBodyRels = 4
+	DecideBodyRows = 25_000
+	DecideHeadRels = 6
+	DecideHeadVals = 97
+)
+
+// DecideDB builds the decision workload deterministically. Column 0 of a
+// body relation is a unique key; column 1 hits the head domain v0..v96 on
+// every fifth row and is otherwise private noise. Every head holds the
+// whole head domain, so every (body, head) pair has confidence 1/5.
+func DecideDB() *relation.Database {
+	db := relation.NewDatabase()
+	for i := 0; i < DecideBodyRels; i++ {
+		name := fmt.Sprintf("p%d", i)
+		for j := 0; j < DecideBodyRows; j++ {
+			v := fmt.Sprintf("z%d-%d", i, j)
+			if j%5 == 0 {
+				v = fmt.Sprintf("v%d", j%DecideHeadVals)
+			}
+			db.MustInsertNamed(name, fmt.Sprintf("p%dx%d", i, j), v)
+		}
+	}
+	for i := 0; i < DecideHeadRels; i++ {
+		name := fmt.Sprintf("h%d", i)
+		for k := 0; k < DecideHeadVals; k++ {
+			db.MustInsertNamed(name, fmt.Sprintf("v%d", k))
+		}
+	}
+	return db
+}
+
 // Random describes a synthetic database workload.
 type Random struct {
 	Relations int // number of relations
