@@ -13,9 +13,8 @@ import (
 // so must both counts of the one-pass SemijoinCounts kernel and of a
 // KeyCounts index built on either side (the row-set path when all of the
 // indexed side's columns are shared, the key-count path otherwise),
-// including an index PairCounts reuses for a second head. Keys of one or
-// two columns take the packed paths of these kernels, wider keys the
-// generic ones.
+// including an index PairCounts reuses for a second head. KeyCounts packs
+// keys of one or two columns and stores wider ones in a key table.
 //
 // Run with: go test -fuzz=FuzzJoin ./internal/relation
 func FuzzJoin(f *testing.F) {
@@ -33,10 +32,11 @@ func FuzzJoin(f *testing.F) {
 	f.Add([]byte{2, 1, 1, 0, 1, 1, 1, 2, 1, 3, 2, 0xFF, 1, 2})
 	// Wide values (see decodeTablePair) on keys of one, two and three
 	// shared columns: [A,B]/[B,C], [A,B,C]/[B,C,D] and [A,B,C,D]/[B,C,D,E].
-	// The first two index through the packed path, the third through the
-	// generic one. Each width comes once with near-balanced sides (the
-	// semijoin kernels index u and probe t) and once with a side of 96
-	// rows against 1 (they index the small side and scan the large one).
+	// KeyCounts indexes the first two through its packed path and the
+	// third through its key table; the semijoin kernels' chain index
+	// serves all three. Each width comes once with near-balanced sides
+	// (the semijoin kernels index u and probe t) and once with a side of
+	// 96 rows against 1 (they index the small side and scan the large one).
 	for keyCols := 1; keyCols <= 3; keyCols++ {
 		f.Add(widePairSeed(keyCols, 12, 9))
 		f.Add(widePairSeed(keyCols, 1, 96))

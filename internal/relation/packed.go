@@ -1,11 +1,11 @@
 package relation
 
-// This file implements the packed-key index behind the kernels whose key
-// has one or two columns, the common case on narrow relations. Such a key
-// fits in one uint64, so the index hashes it with one multiplication and
-// compares it as one word kept in its slot, where the generic path (the
-// FNV row set of colstore.go and the chain index) hashes column by column
-// and re-reads the stored row through a position list to compare. Keys of
+// This file implements the packed-key index KeyCounts uses for keys of one
+// or two columns, the common case on narrow relations. Such a key fits in
+// one uint64, so the index hashes it with one multiplication and compares
+// it as one word kept in its slot, where the generic path (a key table
+// with the FNV row set of colstore.go) hashes column by column and
+// re-reads the stored row through a position list to compare. Keys of
 // three or more columns, and a table used as its own index (the row-set
 // path), keep the generic path.
 
@@ -86,14 +86,4 @@ func (p *packedIndex) clearMarks() {
 	for i := range p.slots {
 		p.slots[i].mark = 0
 	}
-}
-
-// packedIdx returns the scratch's packed index (a fresh one for the nil
-// scratch). Like the chain-index arrays, it is invalidated by the next
-// kernel call on the same scratch.
-func (sc *Scratch) packedIdx() *packedIndex {
-	if sc == nil {
-		return &packedIndex{}
-	}
-	return &sc.packed
 }

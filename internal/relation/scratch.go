@@ -35,7 +35,6 @@ type Scratch struct {
 	sample     []int
 	free       []*Table
 	kc         KeyCounts
-	packed     packedIndex
 	ops        Ops
 }
 

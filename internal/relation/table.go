@@ -262,16 +262,6 @@ func (t *Table) SemijoinS(u *Table, sc *Scratch) *Table {
 		}
 		return out
 	}
-	if packable(len(uPos)) {
-		p := sc.packedIdx()
-		p.countKeys(&u.colStore, uPos)
-		for r := 0; r < t.nrows; r++ {
-			if row := t.row(r); p.find(packAt(row, tPos)) != nil {
-				out.addUnique(row)
-			}
-		}
-		return out
-	}
 	idx := buildChainIndexS(&u.colStore, uPos, sc)
 	hbuf := sc.hashBuf()
 	for lo := 0; lo < t.nrows; lo += probeBlock {
@@ -331,18 +321,8 @@ func (t *Table) SemijoinCountS(u *Table, sc *Scratch) int {
 		ix.Reset(sc)
 		return n
 	}
-	n := 0
-	if packable(len(uPos)) {
-		p := sc.packedIdx()
-		p.countKeys(&u.colStore, uPos)
-		for r := 0; r < t.nrows; r++ {
-			if p.find(packAt(t.row(r), tPos)) != nil {
-				n++
-			}
-		}
-		return n
-	}
 	idx := buildChainIndexS(&u.colStore, uPos, sc)
+	n := 0
 	hbuf := sc.hashBuf()
 	for lo := 0; lo < t.nrows; lo += probeBlock {
 		hi := min(lo+probeBlock, t.nrows)
@@ -381,25 +361,9 @@ func (t *Table) matchedScan(u *Table, tPos, uPos []int, sc *Scratch) []bool {
 	if t.nrows == 0 {
 		return matched
 	}
-	left := t.nrows
-	if packable(len(tPos)) {
-		// Each key of t is marked by the first u row carrying it, which
-		// matches all the t rows counted under it.
-		p := sc.packedIdx()
-		p.countKeys(&t.colStore, tPos)
-		for r := 0; r < u.nrows && left > 0; r++ {
-			if s := p.find(packAt(u.row(r), uPos)); s != nil && s.mark == 0 {
-				s.mark = 1
-				left -= int(s.rows)
-			}
-		}
-		for r := range matched {
-			matched[r] = p.find(packAt(t.row(r), tPos)).mark != 0
-		}
-		return matched
-	}
 	idx := buildChainIndexS(&t.colStore, tPos, sc)
 	hbuf := sc.hashBuf()
+	left := t.nrows
 	for lo := 0; lo < u.nrows && left > 0; lo += probeBlock {
 		hi := min(lo+probeBlock, u.nrows)
 		hashBlockAt(&u.colStore, uPos, lo, hi, hbuf)
