@@ -363,6 +363,11 @@ func TestUnassignRelationOfString(t *testing.T) {
 	if err := s.Assign(q, relation.NewAtom("a", "Y", "Z")); err != nil {
 		t.Fatal(err)
 	}
+	// A predicate variable whose name extends P's does not share it.
+	pq := Pattern("PQ", "X")
+	if err := s.Assign(pq, relation.NewAtom("b", "X")); err != nil {
+		t.Fatal(err)
+	}
 	if r, ok := s.RelationOf("P"); !ok || r != "a" {
 		t.Fatalf("RelationOf = %q, %v", r, ok)
 	}
@@ -380,6 +385,10 @@ func TestUnassignRelationOfString(t *testing.T) {
 		t.Fatal("predicate-variable binding survived its last pattern")
 	}
 	s.Unassign(p) // idempotent on an absent assignment
+	if r, ok := s.RelationOf("PQ"); !ok || r != "b" {
+		t.Fatalf("RelationOf(PQ) = %q, %v after unassigning P's patterns", r, ok)
+	}
+	s.Unassign(pq)
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d after full unassign", s.Len())
 	}
@@ -404,33 +413,5 @@ func TestInstantiationLookupsDoNotAllocate(t *testing.T) {
 		if got := testing.AllocsPerRun(100, f); got != 0 {
 			t.Errorf("%s allocated %.1f times, want 0", name, got)
 		}
-	}
-}
-
-// TestUnassignKeepsSharedPredicateVariable checks σ' bookkeeping on
-// Unassign: a predicate variable stays bound while another of its patterns
-// is assigned, and a variable whose name extends it (PQ for P) does not
-// count as sharing it.
-func TestUnassignKeepsSharedPredicateVariable(t *testing.T) {
-	s := NewInstantiation()
-	p1, p2, pq := Pattern("P", "X", "Y"), Pattern("P", "Y", "X"), Pattern("PQ", "X")
-	for _, as := range []struct {
-		l LiteralScheme
-		a relation.Atom
-	}{{p1, relation.NewAtom("a", "X", "Y")}, {p2, relation.NewAtom("a", "Y", "X")}, {pq, relation.NewAtom("b", "X")}} {
-		if err := s.Assign(as.l, as.a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Unassign(p1)
-	if rel, ok := s.RelationOf("P"); !ok || rel != "a" {
-		t.Fatalf("P unbound after unassigning one of its two patterns: %q, %v", rel, ok)
-	}
-	s.Unassign(p2)
-	if _, ok := s.RelationOf("P"); ok {
-		t.Fatal("P still bound after unassigning both of its patterns (PQ's pattern must not count)")
-	}
-	if rel, ok := s.RelationOf("PQ"); !ok || rel != "b" {
-		t.Fatalf("PQ lost its binding: %q, %v", rel, ok)
 	}
 }

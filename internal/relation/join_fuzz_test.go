@@ -117,11 +117,11 @@ func wideValue(b byte) Value {
 
 // widePairSeed encodes a wide-value FuzzJoin input whose two tables share
 // keyCols columns: leftRows rows over [A, key...] and rightRows rows over
-// [key..., own]. Key values come from six classes (see wideValue), four of
-// which differ only in their top bits, two of them negative. The right
-// side's keys count up through every combination, its own column keeping
-// its rows distinct; the left side's keys step by seven, so some match and
-// some differ from a right key in one column only.
+// [key..., own]. Key values come from six classes (see wideValue): 0, 4,
+// 8 and 12 differ only in their top bits, and 8, 12 and 9 are negative.
+// The right side's keys count up through every combination, its own
+// column keeping its rows distinct; the left side's keys step by seven,
+// so some match and some differ from a right key in one column only.
 func widePairSeed(keyCols, leftRows, rightRows int) []byte {
 	classes := []byte{0, 4, 8, 12, 1, 9}
 	data := []byte{byte(keyCols + 1), byte(keyCols + 1), 0x80 | 1}

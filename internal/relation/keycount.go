@@ -19,9 +19,9 @@ package relation
 type KeyCounts struct {
 	src    *Table
 	keys   *Table      // distinct keys; src itself on the row-set path, nil on the packed path
-	packed packedIndex // the packed path's keys and counts
+	packed packedIndex // the packed path's keys, counts and pass stamps
 	counts []int32     // counts[k]: rows of src with key k (generic path only)
-	seen   []uint32    // seen[k] == pass: key k already matched during this pass (not on the packed path)
+	seen   []uint32    // seen[k] == pass: key k already matched during this pass (row-set and generic paths)
 	pass   uint32
 	vars   []string // key columns, in src's column order
 	srcPos []int    // key columns' positions in src

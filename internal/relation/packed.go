@@ -9,6 +9,8 @@ package relation
 // three or more columns, and a table used as its own index (the row-set
 // path), keep the generic path.
 
+import "math/bits"
+
 // packable reports whether a key over n columns takes the packed path.
 func packable(n int) bool { return n == 1 || n == 2 }
 
@@ -23,10 +25,9 @@ func packAt(row Tuple, pos []int) uint64 {
 }
 
 // packedIndex is an open-addressing hash table of packed keys with linear
-// probing. A key hashes to the high bits of its product with the 64-bit
-// golden-ratio constant. It is sized once per build for the number of rows
-// indexed, an upper bound on its distinct keys, so it never grows while
-// filled; its slot array keeps its capacity across builds.
+// probing. It is sized once per build for the number of rows indexed, an
+// upper bound on its distinct keys, so it never grows while filled; its
+// slot array keeps its capacity across builds.
 type packedIndex struct {
 	slots []packedSlot
 	shift uint
@@ -52,13 +53,10 @@ func (p *packedIndex) countKeys(c *colStore, pos []int) {
 		p.slots = make([]packedSlot, size)
 	}
 	p.mask = uint64(size - 1)
-	p.shift = 64
-	for n := size; n > 1; n >>= 1 {
-		p.shift--
-	}
+	p.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	for r := 0; r < c.nrows; r++ {
 		k := packAt(c.row(r), pos)
-		i := (k * 0x9E3779B97F4A7C15) >> p.shift
+		i := p.home(k)
 		for p.slots[i].rows != 0 && p.slots[i].key != k {
 			i = (i + 1) & p.mask
 		}
@@ -67,10 +65,16 @@ func (p *packedIndex) countKeys(c *colStore, pos []int) {
 	}
 }
 
+// home returns the first slot of key k's probe sequence: the high bits of
+// k times 2^64/φ, the golden ratio φ (multiplicative hashing).
+func (p *packedIndex) home(k uint64) uint64 {
+	return (k * 0x9E3779B97F4A7C15) >> p.shift
+}
+
 // find returns the slot holding key k, or nil when no indexed row carries
 // it.
 func (p *packedIndex) find(k uint64) *packedSlot {
-	for i := (k * 0x9E3779B97F4A7C15) >> p.shift; ; i = (i + 1) & p.mask {
+	for i := p.home(k); ; i = (i + 1) & p.mask {
 		s := &p.slots[i]
 		if s.rows == 0 {
 			return nil
