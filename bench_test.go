@@ -34,7 +34,7 @@ func BenchmarkFig1DB1(b *testing.B) {
 		b.Run(typ.String(), func(b *testing.B) {
 			opt := engine.Options{Type: typ, Thresholds: core.AllAbove(rat.New(1, 2), rat.New(1, 2), rat.New(1, 2))}
 			for i := 0; i < b.N; i++ {
-				if _, _, err := engine.FindRules(db, mq, opt); err != nil {
+				if _, _, err := engine.NewEngine(db).FindRulesStats(context.Background(), mq, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -290,7 +290,7 @@ func BenchmarkFindRulesVsNaive(b *testing.B) {
 	th := core.AllAbove(rat.New(1, 10), rat.Zero, rat.Zero)
 	b.Run("findRules", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := engine.FindRules(db, mq, engine.Options{Type: core.Type0, Thresholds: th}); err != nil {
+			if _, _, err := engine.NewEngine(db).FindRulesStats(context.Background(), mq, engine.Options{Type: core.Type0, Thresholds: th}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -345,7 +345,7 @@ func BenchmarkPreparedReuse(b *testing.B) {
 	})
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := engine.FindRules(db, mq, opt); err != nil {
+			if _, _, err := engine.NewEngine(db).FindRulesStats(context.Background(), mq, opt); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -84,7 +84,7 @@ func TestCandidateIndexExtend(t *testing.T) {
 // new version's data for the relations that changed.
 func TestEvaluatorFork(t *testing.T) {
 	db := epochTestDB()
-	st := stats.CollectCounting(db)
+	st := stats.Collect(db)
 	ev := NewEvaluatorStats(db, st)
 	if ev.Database() != db || ev.Stats() != st {
 		t.Fatal("accessor mismatch")

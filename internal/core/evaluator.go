@@ -70,6 +70,10 @@ type joinBuf struct {
 
 var joinScratch = sync.Pool{New: func() any { return new(joinBuf) }}
 
+// fractionScratch pools the operator scratch of tableFraction's counting
+// kernel, so a fraction allocates no key index in steady state.
+var fractionScratch = sync.Pool{New: func() any { return relation.NewScratch() }}
+
 // put returns the buffer to the pool with its table references scrubbed, so
 // pooled buffers never pin arenas.
 func (b *joinBuf) put(tables []*relation.Table) {
@@ -267,7 +271,9 @@ func tableFraction(jr, js *relation.Table) rat.Rat {
 	if jr.Empty() {
 		return rat.Zero
 	}
-	num := jr.SemijoinCount(js)
+	sc := fractionScratch.Get().(*relation.Scratch)
+	num, _ := jr.SemijoinCounts(js, sc)
+	fractionScratch.Put(sc)
 	if num == 0 {
 		return rat.Zero
 	}

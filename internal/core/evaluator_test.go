@@ -35,7 +35,7 @@ func BenchmarkEvaluatorJoin(b *testing.B) {
 		name string
 		ev   *Evaluator
 	}{
-		{"stats", NewEvaluatorStats(db, stats.CollectCounting(db))},
+		{"stats", NewEvaluatorStats(db, stats.Collect(db))},
 		{"nostats", NewEvaluator(db)},
 	}
 	for _, e := range evs {

@@ -268,7 +268,7 @@ func TestApplyUnmentionedRelation(t *testing.T) {
 	}
 
 	// The one-shot decision wrapper sees the same (post-delta) database.
-	yes, wit, err := DecideFirst(ctx, eng.Database(), mq, core.Sup, rat.Zero, core.Type0)
+	yes, wit, err := NewEngine(eng.Database()).Decide(ctx, mq, core.Sup, rat.Zero, core.Type0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,9 +121,10 @@ func (p *Prepared) decide(ctx context.Context, ix core.Index, k rat.Rat, sampled
 // decider is the first-witness consumer of the body-search iterator, the
 // one decider behind DecideFirst and DecideApprox. The two differ only in
 // the test deciding whether one fraction |t ⋉ u| / |t| exceeds k: the
-// exact test counts it (KeyCounts.PairCounts for heads, SemijoinCountS for
+// exact test counts it (KeyCounts.PairCounts for heads, SemijoinCounts for
 // support); the sampled test (decide_approx.go) estimates it from uniform
-// row samples under the Options.Approx (ε, δ) contract.
+// row samples, probed through a KeyCounts index, under the Options.Approx
+// (ε, δ) contract.
 type decider struct {
 	run     *run
 	ix      core.Index
@@ -139,10 +140,7 @@ type decider struct {
 	seedBase uint64
 	seedCtr  uint64
 
-	// Reused per-fraction staging (probe tuple and column positions) and
-	// per-body stratification buffers of the sampled test.
-	buf  relation.Tuple
-	pos  []int
+	// Reused per-body stratification buffers of the sampled test.
 	raS  []*relation.Table
 	uS   []*relation.Table
 	estS []float64
@@ -209,7 +207,7 @@ func (d *decider) headExceeds(h, b *relation.Table) (bool, error) {
 		return d.fractionExceeds(h, b, d.par.MaxSamples)
 	}
 	r := d.run
-	hb, bh := r.headIdx.PairCounts(h, b, r.sc)
+	hb, bh := r.keyIdx.PairCounts(h, b, r.sc)
 	if d.ix == core.Cvr {
 		return fraction(hb, h.Len()).Greater(d.k), nil
 	}

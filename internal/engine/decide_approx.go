@@ -11,8 +11,8 @@ import (
 )
 
 // approxMinPopulation is the denominator size below which sampling cannot
-// beat the exact block-hashed semijoin kernels: tiny fractions are computed
-// exactly, outside the escalation accounting.
+// beat the exact counting kernel (SemijoinCounts): tiny fractions are
+// computed exactly, outside the escalation accounting.
 const approxMinPopulation = 16
 
 // approxMinFractionBudget floors the stratified per-fraction budget shares
@@ -177,23 +177,16 @@ func (d *decider) fractionExceeds(t, u *relation.Table, budget int) (bool, error
 // fractionExceedsImpl decides |t ⋉ u| / |t| > k. Large denominators run
 // the sequential sampled test with the given budget; tiny ones,
 // escalations and the confirmation of sampled accepts are counted exactly
-// by SemijoinCountS (a cartesian degeneration, with no shared columns, is
-// 0 or 1 outright), so every returned YES is a certainty.
+// by SemijoinCounts (a cartesian degeneration, with no shared columns, is
+// 0 or 1 outright), so every returned YES is a certainty. Sampled rows of t
+// are probed against u through the run's key index (KeyCounts.Probe).
 func (d *decider) fractionExceedsImpl(t, u *relation.Table, budget int) (bool, error) {
 	r := d.run
 	pop := t.Len()
 	if pop == 0 {
 		return false, nil // fraction 0; 0 > k is false for k ≥ 0
 	}
-	// d.pos holds, for each shared column in u's column order, its position
-	// in t; probeSet below restages it if u needs projecting.
-	d.pos = d.pos[:0]
-	for _, v := range u.Vars() {
-		if p := t.Pos(v); p >= 0 {
-			d.pos = append(d.pos, p)
-		}
-	}
-	if len(d.pos) == 0 {
+	if !sharesColumn(t, u) {
 		// Cartesian semijoin semantics: every t row matches iff u has rows.
 		if u.Empty() {
 			return false, nil
@@ -201,7 +194,7 @@ func (d *decider) fractionExceedsImpl(t, u *relation.Table, budget int) (bool, e
 		return rat.One.Greater(d.k), nil
 	}
 	exact := func() (bool, error) {
-		num := t.SemijoinCountS(u, r.sc)
+		num, _ := t.SemijoinCounts(u, r.sc)
 		if num == 0 {
 			return false, nil
 		}
@@ -216,14 +209,8 @@ func (d *decider) fractionExceedsImpl(t, u *relation.Table, budget int) (bool, e
 		return exact()
 	}
 
-	// Membership set for the sampled probes: π_shared(u), with rows staged
-	// in its column order. When every u column is shared (the sup case:
-	// the reduced cover projection), u itself is the set.
-	probe, owned := d.probeSet(t, u)
-	if cap(d.buf) < len(d.pos) {
-		d.buf = make(relation.Tuple, len(d.pos))
-	}
-	buf := d.buf[:len(probe.Vars())]
+	ix := &r.keyIdx
+	ix.Probe(t, u, r.sc)
 	smp := relation.NewSampler(pop, d.nextSeed())
 	for {
 		batch := seq.Batch()
@@ -231,26 +218,18 @@ func (d *decider) fractionExceedsImpl(t, u *relation.Table, budget int) (bool, e
 			break
 		}
 		if err := r.ctx.Err(); err != nil {
-			if owned {
-				r.sc.Release(probe)
-			}
+			ix.Reset(r.sc)
 			return false, err
 		}
 		hits := 0
 		for i := 0; i < batch; i++ {
-			row := t.Row(smp.Next())
-			for j, p := range d.pos {
-				buf[j] = row[p]
-			}
-			if probe.Contains(buf) {
+			if ix.Has(t.Row(smp.Next())) {
 				hits++
 			}
 		}
 		seq.Observe(hits, batch)
 	}
-	if owned {
-		r.sc.Release(probe)
-	}
+	ix.Reset(r.sc)
 	r.stats.SamplesDrawn += seq.Drawn()
 	switch seq.Verdict() {
 	case approx.Above:
@@ -283,27 +262,12 @@ func (d *decider) fractionExceedsImpl(t, u *relation.Table, budget int) (bool, e
 	}
 }
 
-// probeSet returns the membership set π_shared(u) for probes staged through
-// d.pos (t-side positions, in u's shared-column order), together with
-// whether the caller must release it. When every u column is shared, u is
-// its own membership set.
-func (d *decider) probeSet(t, u *relation.Table) (*relation.Table, bool) {
-	r := d.run
-	if len(d.pos) == len(u.Vars()) {
-		return u, false
-	}
-	// Some u columns are not in t: probe against the projection onto the
-	// shared ones, and restage d.pos to its column order.
-	shared := make([]string, 0, len(d.pos))
+// sharesColumn reports whether t and u have a column in common.
+func sharesColumn(t, u *relation.Table) bool {
 	for _, v := range u.Vars() {
-		if t.Pos(v) >= 0 {
-			shared = append(shared, v)
+		if t.HasVar(v) {
+			return true
 		}
 	}
-	proj := u.ProjectS(shared, r.sc)
-	d.pos = d.pos[:0]
-	for _, v := range shared {
-		d.pos = append(d.pos, t.Pos(v))
-	}
-	return proj, true
+	return false
 }

@@ -252,8 +252,8 @@ func TestPrepareRejectsBadApproxOptions(t *testing.T) {
 // TestDecideApproxCvrProjectsProbeSet exercises the cvr orientation of the
 // sampler — head rows drawn, body join probed — on a head population large
 // enough to sample. The body join carries X, which the head table lacks, so
-// the probe set must be projected onto the shared column first (the
-// probeSet projection branch). cvr = 80/400 = 1/5 here: the deterministic
+// the probe index is keyed on the shared column alone (a key-count index,
+// not the body join's own row set). cvr = 80/400 = 1/5 here: the deterministic
 // seeded run must reject k = 1/2 from samples and accept k = 1/20 (through
 // the exact confirmation of the sampled accept, also covering the
 // stats-free DecideApprox wrapper).

@@ -19,7 +19,7 @@ func TestFindRulesEmptyDatabase(t *testing.T) {
 	db.MustAddRelation("q", 2)
 	mq := core.MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
 
-	checked, _, err := FindRules(db, mq, Options{
+	checked, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{
 		Type:       core.Type0,
 		Thresholds: core.AllAbove(rat.Zero, rat.Zero, rat.Zero),
 	})
@@ -30,7 +30,7 @@ func TestFindRulesEmptyDatabase(t *testing.T) {
 		t.Errorf("empty database produced %d answers", len(checked))
 	}
 
-	unchecked, _, err := FindRules(db, mq, Options{Type: core.Type0})
+	unchecked, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: core.Type0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFindRulesHeadOnlyVariable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := FindRules(db, mq, Options{Type: core.Type0, Thresholds: th})
+	got, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: core.Type0, Thresholds: th})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFindRulesSingleLiteralBody(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := FindRules(db, mq, Options{Type: typ, Thresholds: th})
+		got, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: typ, Thresholds: th})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestFindRulesRepeatedVariables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := FindRules(db, mq, Options{Type: core.Type0, Thresholds: th})
+	got, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: core.Type0, Thresholds: th})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestFindRulesZeroArity(t *testing.T) {
 	r.Insert(relation.Tuple{})
 	mq := core.MustParse("R() <- P()")
 	th := core.Thresholds{}
-	got, _, err := FindRules(db, mq, Options{Type: core.Type0, Thresholds: th})
+	got, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: core.Type0, Thresholds: th})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFindRulesLimitValidity(t *testing.T) {
 	db.MustInsertNamed("q", "b", "c")
 	mq := core.MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
 	th := core.SingleIndex(core.Sup, rat.Zero)
-	got, _, err := FindRules(db, mq, Options{Type: core.Type0, Thresholds: th, Limit: 2})
+	got, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: core.Type0, Thresholds: th, Limit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +158,11 @@ func TestFindRulesValidation(t *testing.T) {
 	db := relation.NewDatabase()
 	db.MustInsertNamed("p", "a", "b")
 	impure := core.MustParse("P(X) <- P(X,Y)")
-	if _, _, err := FindRules(db, impure, Options{Type: core.Type0}); err == nil {
+	if _, _, err := NewEngine(db).FindRulesStats(context.Background(), impure, Options{Type: core.Type0}); err == nil {
 		t.Error("impure metaquery accepted under type-0")
 	}
 	missing := core.MustParse("R(X) <- nosuch(X)")
-	if _, _, err := FindRules(db, missing, Options{Type: core.Type2}); err == nil {
+	if _, _, err := NewEngine(db).FindRulesStats(context.Background(), missing, Options{Type: core.Type2}); err == nil {
 		t.Error("unknown relation accepted")
 	}
 }
@@ -175,7 +175,7 @@ func TestFindRulesNearOneThreshold(t *testing.T) {
 	db.MustInsertNamed("q", "a", "b")
 	mq := core.MustParse("Q(X,Y) <- P(X,Y)")
 	th := core.SingleIndex(core.Cnf, rat.New(99999, 100000))
-	got, _, err := FindRules(db, mq, Options{Type: core.Type0, Thresholds: th})
+	got, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: core.Type0, Thresholds: th})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,14 +52,11 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/mqgo/metaquery/internal/approx"
 	"github.com/mqgo/metaquery/internal/core"
 	"github.com/mqgo/metaquery/internal/obs"
-	"github.com/mqgo/metaquery/internal/rat"
-	"github.com/mqgo/metaquery/internal/relation"
 )
 
 // Options configures a findRules run. Every run executes the whole
@@ -180,28 +177,6 @@ func (a ApproxOptions) validate() error {
 		return nil
 	}
 	return approx.Params{Epsilon: a.Epsilon, Delta: a.Delta, MaxSamples: a.MaxSamples}.Validate()
-}
-
-// FindRules computes all type-T instantiations of mq over db whose indices
-// pass the thresholds, with exact index values, sorted by rule text.
-// It is the entry point corresponding to Figure 4's findRules, implemented
-// as a one-shot Engine session; callers answering several metaqueries over
-// the same database should hold a NewEngine and Prepare instead.
-func FindRules(db *relation.Database, mq *core.Metaquery, opt Options) ([]core.Answer, *Stats, error) {
-	return NewEngine(db).FindRulesStats(context.Background(), mq, opt)
-}
-
-// FindRulesContext is FindRules bounded by ctx: the search stops promptly
-// with ctx.Err() when ctx is cancelled or its deadline passes.
-func FindRulesContext(ctx context.Context, db *relation.Database, mq *core.Metaquery, opt Options) ([]core.Answer, *Stats, error) {
-	return NewEngine(db).FindRulesStats(ctx, mq, opt)
-}
-
-// DecideFirst solves the decision problem ⟨DB, MQ, ix, k, T⟩ through a
-// one-shot Engine's first-witness path; callers deciding repeatedly over
-// one database should hold a NewEngine (and a Prepared) instead.
-func DecideFirst(ctx context.Context, db *relation.Database, mq *core.Metaquery, ix core.Index, k rat.Rat, typ core.InstType) (bool, *core.Instantiation, error) {
-	return NewEngine(db).Decide(ctx, mq, ix, k, typ)
 }
 
 // errLimit signals early termination once Options.Limit answers were found.

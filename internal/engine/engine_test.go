@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestFindRulesMatchesNaiveOnFigure1(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := FindRules(db, mq, Options{Type: typ, Thresholds: th})
+			got, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: typ, Thresholds: th})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +82,7 @@ func TestFindRulesMatchesNaiveOnFigure1(t *testing.T) {
 func TestFindRulesPaperRuleIndices(t *testing.T) {
 	db := db1(t)
 	mq := core.MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
-	answers, _, err := FindRules(db, mq, Options{
+	answers, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{
 		Type:       core.Type0,
 		Thresholds: core.AllAbove(rat.New(1, 2), rat.New(1, 2), rat.New(1, 2)),
 	})
@@ -116,7 +117,7 @@ func TestFindRulesCyclicBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := FindRules(db, mq, Options{Type: core.Type0, Thresholds: th})
+	got, stats, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: core.Type0, Thresholds: th})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestFindRulesSharedHeadBodyPredVar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := FindRules(db, mq, Options{Type: core.Type0, Thresholds: th})
+	got, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: core.Type0, Thresholds: th})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestFindRulesHeadEqualsBodyLiteral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := FindRules(db, mq, Options{Type: core.Type0, Thresholds: th})
+	got, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: core.Type0, Thresholds: th})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestFindRulesMixedAtoms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := FindRules(db, mq, Options{Type: core.Type0, Thresholds: th})
+	got, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: core.Type0, Thresholds: th})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestFindRulesMixedAtoms(t *testing.T) {
 func TestFindRulesLimit(t *testing.T) {
 	db := db1(t)
 	mq := core.MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
-	got, _, err := FindRules(db, mq, Options{
+	got, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{
 		Type:       core.Type0,
 		Thresholds: core.SingleIndex(core.Sup, rat.Zero),
 		Limit:      1,
@@ -241,7 +242,7 @@ func TestQuickFindRulesMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := FindRules(db, mq, Options{Type: typ, Thresholds: th})
+			got, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: typ, Thresholds: th})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,7 +254,7 @@ func TestQuickFindRulesMatchesNaive(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	db := db1(t)
 	mq := core.MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
-	_, stats, err := FindRules(db, mq, Options{
+	_, stats, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{
 		Type:       core.Type0,
 		Thresholds: core.SingleIndex(core.Sup, rat.New(99, 100)),
 	})

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestFindRulesMatchesNaiveOnGeneratedFamily(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := FindRules(db, mq, Options{Type: typ, Thresholds: th})
+				got, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: typ, Thresholds: th})
 				if err != nil {
 					t.Fatal(err)
 				}

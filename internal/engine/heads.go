@@ -51,7 +51,7 @@ func (r *run) forEachBodyAtom(sigma *core.Instantiation, s map[int]*relation.Tab
 func (r *run) supportFraction(ra, u *relation.Table) rat.Rat {
 	num := ra.Len()
 	if u != nil {
-		num = ra.SemijoinCountS(u, r.sc)
+		num, _ = ra.SemijoinCounts(u, r.sc)
 	}
 	return fraction(num, ra.Len())
 }
@@ -193,7 +193,7 @@ func (r *run) forEachHead(bd *body, test func(h, b *relation.Table) (bool, error
 			defer r.sc.Release(bj)
 		}
 		b = bj
-		r.headIdx.Reset(r.sc)
+		r.keyIdx.Reset(r.sc)
 	}
 	head := r.p.mq.Head
 	for _, ha := range r.p.headCandidates(r.ep) {
@@ -263,7 +263,7 @@ func (r *run) findHeads(bd *body) error {
 	}
 	var cnf, cvr rat.Rat
 	return r.forEachHead(bd, func(h, b *relation.Table) (bool, error) {
-		hb, bh := r.headIdx.PairCounts(h, b, r.sc)
+		hb, bh := r.keyIdx.PairCounts(h, b, r.sc)
 		cvr, cnf = fraction(hb, h.Len()), fraction(bh, b.Len())
 		return (!th.CheckCvr || cvr.Greater(th.Cvr)) && (!th.CheckCnf || cnf.Greater(th.Cnf)), nil
 	}, func(full *core.Instantiation) error {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -73,7 +74,7 @@ func TestTopAnswersK(t *testing.T) {
 func TestTopAnswersOnRealRun(t *testing.T) {
 	db := db1(t)
 	mq := core.MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
-	answers, _, err := FindRules(db, mq, Options{Type: core.Type1})
+	answers, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: core.Type1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,11 +106,13 @@ type run struct {
 	// escape the run (consumers of body clone what they keep).
 	sc *relation.Scratch
 
-	// headIdx is the current body join's key-count index for head counting
-	// (KeyCounts.PairCounts), built lazily and reset on every new body:
-	// body joins are recycled scratch tables, so pointer identity cannot
-	// key it. Its key storage is drawn from sc.
-	headIdx relation.KeyCounts
+	// keyIdx is the run's key-count index. Exact runs count heads through
+	// it (KeyCounts.PairCounts): it indexes the current body join, built
+	// lazily and reset on every new body, since body joins are recycled
+	// scratch tables and pointer identity cannot key it. Sampled runs
+	// probe each fraction's sampled rows through it (KeyCounts.Probe) and
+	// reset it after the fraction. Its key storage is drawn from sc.
+	keyIdx relation.KeyCounts
 
 	// Reused staging buffers, retained across pooled executions: key and
 	// atoms serve nodeJoin (the cache key is built once into key, so cache
@@ -131,7 +133,7 @@ type run struct {
 // the scratch (with its recycled arenas) and the staging buffers are
 // retained, which is what makes repeated executions allocation-free.
 func (r *run) release() {
-	r.headIdx.Reset(r.sc)
+	r.keyIdx.Reset(r.sc)
 	clear(r.rTables)
 	clear(r.sTables)
 	for i := range r.sOwned {

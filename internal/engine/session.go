@@ -74,7 +74,7 @@ type Engine struct {
 // searches share. The engine takes ownership of db: later changes must go
 // through Apply.
 func NewEngine(db *relation.Database) *Engine {
-	st := stats.CollectCounting(db)
+	st := stats.Collect(db)
 	e := &Engine{}
 	e.snap.Store(newSnapshot(0, db, core.NewCandidateIndex(db), st, core.NewEvaluatorStats(db, st)))
 	return e

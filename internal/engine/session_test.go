@@ -36,7 +36,7 @@ func TestPreparedReexecutionMatchesFindRules(t *testing.T) {
 	mq := core.MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
 	for _, typ := range []core.InstType{core.Type0, core.Type1, core.Type2} {
 		opt := Options{Type: typ, Thresholds: core.AllAbove(rat.New(1, 4), rat.Zero, rat.Zero)}
-		want, _, err := FindRules(db, mq, opt)
+		want, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestFindRulesContextPreCancelled(t *testing.T) {
 	mq := core.MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := FindRulesContext(ctx, db, mq, Options{Type: core.Type0})
+	_, _, err := NewEngine(db).FindRulesStats(ctx, mq, Options{Type: core.Type0})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -115,7 +115,7 @@ func TestFindRulesContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err := FindRulesContext(ctx, db, mq, Options{Type: core.Type2})
+	_, _, err := NewEngine(db).FindRulesStats(ctx, mq, Options{Type: core.Type2})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -136,7 +136,7 @@ func TestFindRulesCancelMidSearch(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err := FindRulesContext(ctx, db, mq, Options{Type: core.Type2})
+	_, _, err := NewEngine(db).FindRulesStats(ctx, mq, Options{Type: core.Type2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -149,7 +149,7 @@ func TestStreamMatchesFindRules(t *testing.T) {
 	db := db1(t)
 	mq := core.MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
 	opt := Options{Type: core.Type1, Thresholds: core.SingleIndex(core.Cvr, rat.New(1, 2))}
-	want, _, err := FindRules(db, mq, opt)
+	want, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestStreamEarlyExitDoesLessWork(t *testing.T) {
 	// No thresholds: every instantiation is admissible, so the full run
 	// must examine the entire candidate space.
 	opt := Options{Type: core.Type1}
-	full, fullStats, err := FindRules(db, mq, opt)
+	full, fullStats, err := NewEngine(db).FindRulesStats(context.Background(), mq, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func SupportOfRule(db *relation.Database, r core.Rule) (rat.Rat, error) {
 		}
 		node := decomp.CoverNode[i]
 		reduced := tables[node.ID].Project(a.Vars())
-		num := ra.SemijoinCount(reduced)
+		num, _ := ra.SemijoinCounts(reduced, nil)
 		if num == 0 {
 			continue
 		}

@@ -305,12 +305,12 @@ func TestEngineMetricsHistograms(t *testing.T) {
 func TestUntracedRunsShareResults(t *testing.T) {
 	db := db1(t)
 	mq := core.MustParse("R(X,Z) <- P(X,Y), Q(Y,Z)")
-	plain, _, err := FindRules(db, mq, Options{Type: core.Type0})
+	plain, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: core.Type0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := obs.NewTracer()
-	traced, _, err := FindRules(db, mq, Options{Type: core.Type0, Tracer: tr})
+	traced, _, err := NewEngine(db).FindRulesStats(context.Background(), mq, Options{Type: core.Type0, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

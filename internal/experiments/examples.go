@@ -28,7 +28,7 @@ func runE1(ctx context.Context, _ bool) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		answers, _, err := engine.FindRulesContext(ctx, db, mq, engine.Options{Type: typ})
+		answers, _, err := engine.NewEngine(db).FindRulesStats(ctx, mq, engine.Options{Type: typ})
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +60,7 @@ func runE2(ctx context.Context, _ bool) (*Result, error) {
 		Header: []string{"rule", "sup", "cnf", "cvr"}}
 	db := workload.DB1Extended()
 	mq := workload.MQ4()
-	answers, _, err := engine.FindRulesContext(ctx, db, mq, engine.Options{Type: core.Type2})
+	answers, _, err := engine.NewEngine(db).FindRulesStats(ctx, mq, engine.Options{Type: core.Type2})
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +86,7 @@ func runE3(ctx context.Context, _ bool) (*Result, error) {
 		Header: []string{"rule", "cvr"}}
 	db := workload.DB1()
 	mq := core.MustParse("I(X) <- O(X)")
-	answers, _, err := engine.FindRulesContext(ctx, db, mq, engine.Options{
+	answers, _, err := engine.NewEngine(db).FindRulesStats(ctx, mq, engine.Options{
 		Type:       core.Type2,
 		Thresholds: core.SingleIndex(core.Cvr, rat.New(99, 100)),
 	})

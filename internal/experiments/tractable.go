@@ -261,7 +261,7 @@ func runE18(ctx context.Context, quick bool) (*Result, error) {
 		var fast []core.Answer
 		fastDur, err := timeIt(func() error {
 			var ferr error
-			fast, _, ferr = engine.FindRulesContext(ctx, db, mq, engine.Options{Type: core.Type0, Thresholds: th})
+			fast, _, ferr = engine.NewEngine(db).FindRulesStats(ctx, mq, engine.Options{Type: core.Type0, Thresholds: th})
 			return ferr
 		})
 		if err != nil {
@@ -353,7 +353,7 @@ func runE20(ctx context.Context, quick bool) (*Result, error) {
 			db := workload.Random{Relations: 3, Arity: 2, Tuples: n, Domain: n / 3, Seed: int64(n)}.Build()
 			var count int
 			dur, err := timeIt(func() error {
-				answers, _, ferr := engine.FindRulesContext(ctx, db, mq, engine.Options{
+				answers, _, ferr := engine.NewEngine(db).FindRulesStats(ctx, mq, engine.Options{
 					Type:       core.Type0,
 					Thresholds: core.SingleIndex(ix, rat.New(1, 4)),
 				})

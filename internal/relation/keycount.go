@@ -2,10 +2,12 @@ package relation
 
 // KeyCounts is a key-count index over one table, its indexed side: every
 // distinct key of that table's rows on the columns it shares with a probe
-// table, together with the number of rows carrying the key. One scan of
-// another table against it yields both semijoin cardinalities of the pair,
-// |src ⋉ u| and |u ⋉ src|, so the two head-dependent indices cvr and cnf
-// (Definition 2.6) come from a single pass.
+// table, together with the number of rows carrying the key. It is the one
+// index behind every semijoin cardinality and membership probe: one scan
+// of another table against it yields both semijoin cardinalities of the
+// pair, |src ⋉ u| and |u ⋉ src|, so the two head-dependent indices cvr and
+// cnf (Definition 2.6) come from a single pass, and Has answers for one
+// row of the probe table whether it survives the semijoin.
 //
 // When every column of the indexed side is a key column, the table's own
 // row set is the index (each key occurs in exactly one row) and nothing is
@@ -25,7 +27,7 @@ type KeyCounts struct {
 	pass   uint32
 	vars   []string // key columns, in src's column order
 	srcPos []int    // key columns' positions in src
-	pos    []int    // key columns' positions in the table being scanned
+	pos    []int    // key columns' positions in the table being scanned or probed
 }
 
 // PairCounts returns |h ⋉ b| and |b ⋉ h|, like h.SemijoinCounts(b, sc),
@@ -59,6 +61,25 @@ func (ix *KeyCounts) PairCounts(h, b *Table, sc *Scratch) (hb, bh int) {
 	}
 	bh, hb = ix.count(h, sc)
 	return hb, bh
+}
+
+// Probe indexes u on the columns it shares with t, so that Has(row)
+// answers for any row of t whether it survives t ⋉ u (with no shared
+// columns, whether u has rows: cartesian semantics). The index draws its
+// key storage from sc like PairCounts, and the caller must Reset it before
+// u changes.
+func (ix *KeyCounts) Probe(t, u *Table, sc *Scratch) {
+	ix.build(u, t, sc)
+	ix.keyPos(t)
+}
+
+// Has reports whether row, a row of the table last passed to Probe, agrees
+// with some indexed row on every key column.
+func (ix *KeyCounts) Has(row Tuple) bool {
+	if ix.keys == nil {
+		return ix.packed.find(packAt(row, ix.pos)) != nil
+	}
+	return ix.keys.findAt(hashAt(row, ix.pos), row, ix.pos) >= 0
 }
 
 // Reset empties the index, handing a built key table back to sc. The
@@ -146,11 +167,7 @@ func (ix *KeyCounts) keyedFor(u *Table) bool {
 // |u ⋉ src|. Every key column must be a column of u, which holds when the
 // index was built against u or keyedFor(u) reports true.
 func (ix *KeyCounts) count(u *Table, sc *Scratch) (srcRows, uRows int) {
-	pos := ix.pos[:0]
-	for _, v := range ix.vars {
-		pos = append(pos, u.Pos(v))
-	}
-	ix.pos = pos
+	pos := ix.keyPos(u)
 	ix.pass++
 	if ix.pass == 0 {
 		clear(ix.seen)
@@ -183,6 +200,17 @@ func (ix *KeyCounts) count(u *Table, sc *Scratch) (srcRows, uRows int) {
 		}
 	}
 	return srcRows, uRows
+}
+
+// keyPos resolves the key columns' positions in u, the table about to be
+// scanned or probed, into ix.pos and returns them.
+func (ix *KeyCounts) keyPos(u *Table) []int {
+	pos := ix.pos[:0]
+	for _, v := range ix.vars {
+		pos = append(pos, u.Pos(v))
+	}
+	ix.pos = pos
+	return pos
 }
 
 // countPacked is count on the packed path.

@@ -22,7 +22,8 @@ func pairCountShapes() (*Table, []*Table) {
 // TestPairCountsZeroAlloc pins the head-counting kernel's steady state:
 // once a KeyCounts and its Scratch have indexed a body, rebuilding and
 // counting it again allocates nothing, for one-, two- and three-column
-// keys alike.
+// keys alike. The same holds for a probe index on the body and the Has
+// answers of every head row.
 func TestPairCountsZeroAlloc(t *testing.T) {
 	body, heads := pairCountShapes()
 	sc := NewScratch()
@@ -40,6 +41,22 @@ func TestPairCountsZeroAlloc(t *testing.T) {
 			ix.PairCounts(h, body, sc)
 		}); got != 0 {
 			t.Errorf("%d-column key: %v allocs per build and count, want 0", len(h.Vars()), got)
+		}
+		probe := func() (hits int) {
+			ix.Reset(sc)
+			ix.Probe(h, body, sc)
+			for r := 0; r < h.Len(); r++ {
+				if ix.Has(h.Row(r)) {
+					hits++
+				}
+			}
+			return hits
+		}
+		if hits, want := probe(), refSemijoin(h, body).Len(); hits != want {
+			t.Fatalf("%v: Has holds for %d head rows, want %d", h.Vars(), hits, want)
+		}
+		if got := testing.AllocsPerRun(50, func() { probe() }); got != 0 {
+			t.Errorf("%d-column key: %v allocs per probe build and Has pass, want 0", len(h.Vars()), got)
 		}
 	}
 }

@@ -18,7 +18,7 @@ func TestScratchOps(t *testing.T) {
 	b.Add(Tuple{2})
 
 	out := a.SemijoinS(b, sc)
-	a.SemijoinCountS(b, sc)
+	a.SemijoinCounts(b, sc)
 	a.ProjectS([]string{"X"}, sc)
 	sc.Release(out)
 
@@ -30,10 +30,10 @@ func TestScratchOps(t *testing.T) {
 
 	// Each counted pair adds one SemijoinCounts. Only a key-count build
 	// adds a KeyIndexes: a.SemijoinCounts(b) uses b's own row set and
-	// builds nothing; PairCounts(b, a) indexes a on Y, and the two c
-	// counts (keyed on Y too) reuse that index. A one-column key is packed
-	// into the KeyCounts' own slots, so Reset has no key table to hand
-	// back through Release.
+	// builds nothing; PairCounts(b, a) indexes a on Y, the two c counts
+	// (keyed on Y too) reuse that index, and Probe(c, a) builds it again.
+	// A one-column key is packed into the KeyCounts' own slots, so Reset
+	// has no key table to hand back through Release.
 	sc.ResetOps()
 	a.SemijoinCounts(b, sc)
 	c := NewTable([]string{"Y", "Z"})
@@ -44,8 +44,12 @@ func TestScratchOps(t *testing.T) {
 	if hb, bh := ix.PairCounts(c, a, sc); hb != 1 || bh != 1 {
 		t.Fatalf("PairCounts(c, a) = (%d, %d), want (1, 1)", hb, bh)
 	}
+	ix.Probe(c, a, sc)
+	if !ix.Has(c.Row(0)) {
+		t.Fatal("Probe(c, a): Has(c's row) = false, want true")
+	}
 	ix.Reset(sc)
-	want = Ops{SemijoinCounts: 4, KeyIndexes: 1}
+	want = Ops{SemijoinCounts: 4, KeyIndexes: 2}
 	if got := sc.Ops(); got != want {
 		t.Fatalf("counting Ops() = %+v, want %+v", got, want)
 	}
@@ -60,8 +64,8 @@ func TestScratchOps(t *testing.T) {
 		t.Fatal("nil scratch reports nonzero ops")
 	}
 	nilSc.ResetOps()
-	if n := a.SemijoinCountS(b, nil); n != 1 {
-		t.Fatalf("nil-scratch SemijoinCountS = %d, want 1", n)
+	if n, _ := a.SemijoinCounts(b, nil); n != 1 {
+		t.Fatalf("nil-scratch SemijoinCounts = %d, want 1", n)
 	}
 }
 

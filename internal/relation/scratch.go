@@ -6,10 +6,9 @@ package relation
 // buffers, chain-index arrays, matched bitmaps, tuple staging, a transient
 // key-count index) plus a freelist of released output tables whose arenas
 // are recycled by later operator calls. The scratch-aware operator variants
-// (SemijoinS, SemijoinCountS, SemijoinCounts, ProjectS) accept a nil
-// *Scratch and then behave exactly like their allocating counterparts, so
-// the scratch is purely an optimization layer: results are identical
-// either way.
+// (SemijoinS, SemijoinCounts, ProjectS) accept a nil *Scratch and then
+// behave exactly like their allocating counterparts, so the scratch is
+// purely an optimization layer: results are identical either way.
 //
 // A Scratch is owned by one goroutine at a time and must never be shared
 // between concurrently running operators. Tables handed to Release must be
@@ -45,12 +44,12 @@ type Scratch struct {
 type Ops struct {
 	// Semijoins counts SemijoinS calls (materializing reductions).
 	Semijoins uint64
-	// SemijoinCounts counts cardinality-only calls: SemijoinCountS,
-	// SemijoinCounts and KeyCounts.PairCounts (each counted pair adds one).
+	// SemijoinCounts counts cardinality-only calls: SemijoinCounts and
+	// KeyCounts.PairCounts (each counted pair adds one).
 	SemijoinCounts uint64
-	// KeyIndexes counts key-count indexes built, by KeyCounts.PairCounts
-	// or the SemijoinCounts kernel (a row-set index builds nothing and is
-	// not counted).
+	// KeyIndexes counts key-count indexes built, by KeyCounts.PairCounts,
+	// KeyCounts.Probe or the SemijoinCounts kernel (a row-set index builds
+	// nothing and is not counted).
 	KeyIndexes uint64
 	// Projections counts ProjectS calls.
 	Projections uint64

@@ -280,66 +280,6 @@ func (t *Table) SemijoinS(u *Table, sc *Scratch) *Table {
 	return out
 }
 
-// SemijoinCount returns |t ⋉ u| without materializing the semijoin: the
-// same chain-index kernel as Semijoin, but only a counter on the outer
-// side. The index-computation hot paths (Definition 2.6 fractions) consume
-// only the cardinality of their semijoins, so this saves the output arena,
-// row set, and per-row rehash entirely.
-func (t *Table) SemijoinCount(u *Table) int {
-	return t.SemijoinCountS(u, nil)
-}
-
-// SemijoinCountS is SemijoinCount drawing its transient buffers from sc
-// (see Scratch); nil sc allocates as SemijoinCount does.
-//
-// In the classic direction, when every column of u is shared, u's own row
-// set is the index (the row-set path of KeyCounts) and nothing is built.
-func (t *Table) SemijoinCountS(u *Table, sc *Scratch) int {
-	if sc != nil {
-		sc.ops.SemijoinCounts++
-	}
-	tPos, uPos := sharedPosS(t, u, sc)
-	if len(tPos) == 0 {
-		if u.nrows > 0 {
-			return t.nrows
-		}
-		return 0
-	}
-	if semiScanBetter(t.nrows, u.nrows) {
-		n := 0
-		for _, m := range t.matchedScan(u, tPos, uPos, sc) {
-			if m {
-				n++
-			}
-		}
-		return n
-	}
-	if len(uPos) == len(u.vars) {
-		ix := sc.keyCounts()
-		ix.build(u, t, sc)
-		_, n := ix.count(t, sc)
-		ix.Reset(sc)
-		return n
-	}
-	idx := buildChainIndexS(&u.colStore, uPos, sc)
-	n := 0
-	hbuf := sc.hashBuf()
-	for lo := 0; lo < t.nrows; lo += probeBlock {
-		hi := min(lo+probeBlock, t.nrows)
-		hashBlockAt(&t.colStore, tPos, lo, hi, hbuf)
-		for r := lo; r < hi; r++ {
-			row := t.row(r)
-			for s := idx.first(hbuf[r-lo]); s != 0; s = idx.next[s-1] {
-				if equalAt(row, tPos, u.row(int(s-1)), uPos) {
-					n++
-					break
-				}
-			}
-		}
-	}
-	return n
-}
-
 // semiScanBetter decides the semijoin kernel direction: true selects the
 // matchedScan direction (index t, scan u), worthwhile only when u is much
 // larger than t — the scan pays a chain probe per u row, so near-balanced

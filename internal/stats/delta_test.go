@@ -40,10 +40,10 @@ func applyChange(t *testing.T, db *relation.Database, name string, add, remove [
 	return ch
 }
 
-// TestWithDeltaMatchesRecollection drives the counting form through
+// TestWithDeltaMatchesRecollection drives the value counts through
 // insert/delete batches on generated databases and checks, after each
 // batch, that WithDelta's incrementally maintained statistics are
-// bit-identical (DiffFrom) to a from-scratch CollectCounting on the
+// bit-identical (DiffFrom) to a from-scratch Collect on the
 // mutated database — and that the pre-delta Stats value is untouched.
 func TestWithDeltaMatchesRecollection(t *testing.T) {
 	for _, shape := range []string{"t0-chain", "t1-cycle", "t2-pad"} {
@@ -53,7 +53,7 @@ func TestWithDeltaMatchesRecollection(t *testing.T) {
 				t.Fatal(err)
 			}
 			db := s.DB.Clone()
-			st := stats.CollectCounting(db)
+			st := stats.Collect(db)
 			if st.Database() != db {
 				t.Fatal("Database accessor does not return the collected database")
 			}
@@ -81,7 +81,7 @@ func TestWithDeltaMatchesRecollection(t *testing.T) {
 				}
 				ch := applyChange(t, db, name, add, remove)
 				st = st.WithDelta(db, []stats.RelationChange{ch})
-				if d := st.DiffFrom(stats.CollectCounting(db)); d != "" {
+				if d := st.DiffFrom(stats.Collect(db)); d != "" {
 					t.Fatalf("batch %d: incremental stats diverge: %s", batch, d)
 				}
 			}
@@ -92,30 +92,22 @@ func TestWithDeltaMatchesRecollection(t *testing.T) {
 	}
 }
 
-// TestWithDeltaEdgeCases covers the recollection fallbacks: a Stats built
-// without counts (plain Collect), a change for a relation the database no
-// longer has, a change for a brand-new relation, and the StalenessRebuild
-// cap forcing a periodic exact recollection.
+// TestWithDeltaEdgeCases covers the recollection fallbacks: a change for a
+// relation the database no longer has, a change for a brand-new relation,
+// and the StalenessRebuild cap forcing a periodic exact recollection.
 func TestWithDeltaEdgeCases(t *testing.T) {
 	db := relation.NewDatabase()
 	db.MustInsertNamed("p", "a", "b")
 	db.MustInsertNamed("p", "c", "d")
 	db.MustInsertNamed("q", "x")
 
-	// No retained counts: WithDelta must recollect the changed relation.
-	plain := stats.Collect(db)
-	ch := applyChange(t, db, "p", [][]string{{"e", "f"}}, nil)
-	st := plain.WithDelta(db, []stats.RelationChange{ch})
-	if d := st.DiffFrom(stats.CollectCounting(db)); d != "" {
-		t.Fatalf("recollection fallback diverges: %s", d)
-	}
-
 	// Unknown relation in the change list: dropped from the new Stats.
+	st := stats.Collect(db)
 	st2 := st.WithDelta(db, []stats.RelationChange{{Name: "gone"}})
 	if st2.Relation("gone") != nil {
 		t.Error("WithDelta kept stats for a relation the database lacks")
 	}
-	if d := st2.DiffFrom(stats.CollectCounting(db)); d != "" {
+	if d := st2.DiffFrom(stats.Collect(db)); d != "" {
 		t.Fatalf("dropping an unknown relation broke the rest: %s", d)
 	}
 
@@ -123,20 +115,20 @@ func TestWithDeltaEdgeCases(t *testing.T) {
 	if _, err := db.AddRelation("r", 2); err != nil {
 		t.Fatal(err)
 	}
-	ch = applyChange(t, db, "r", [][]string{{"m", "n"}}, nil)
+	ch := applyChange(t, db, "r", [][]string{{"m", "n"}}, nil)
 	st3 := st2.WithDelta(db, []stats.RelationChange{ch})
 	if rs := st3.Relation("r"); rs == nil || rs.Rows != 1 {
 		t.Fatalf("new relation stats %+v", st3.Relation("r"))
 	}
 
-	// StalenessRebuild: the counting form absorbs only so many deltas
+	// StalenessRebuild: the value counts absorb only so many deltas
 	// before recollecting; the result must stay exact throughout.
-	stN := stats.CollectCounting(db)
+	stN := stats.Collect(db)
 	for i := 0; i < stats.StalenessRebuild+2; i++ {
 		ch := applyChange(t, db, "q", [][]string{{fmt.Sprintf("v%d", i)}}, nil)
 		stN = stN.WithDelta(db, []stats.RelationChange{ch})
 	}
-	if d := stN.DiffFrom(stats.CollectCounting(db)); d != "" {
+	if d := stN.DiffFrom(stats.Collect(db)); d != "" {
 		t.Fatalf("stats drifted across the staleness rebuild: %s", d)
 	}
 }

@@ -19,12 +19,11 @@
 // epoch snapshot, replaced together by Engine.Apply) and every estimate is
 // derived arithmetic — nothing here rescans data at planning time.
 //
-// For mutable databases, CollectCounting retains the per-column value
-// counts the sketch is derived from; WithDelta then absorbs a batch of
+// For mutable databases, Collect retains the per-column value counts the
+// sketch is derived from; WithDelta then absorbs a batch of
 // inserted/removed tuples by adjusting those counts and re-deriving
 // Distinct/MCV — O(delta) instead of a rescan — falling back to an exact
-// recollection every StalenessRebuild deltas (and whenever counts are
-// unavailable) so the maps cannot accumulate drift or garbage.
+// recollection every StalenessRebuild deltas so no drift can persist.
 package stats
 
 import (
@@ -86,10 +85,9 @@ type RelationStats struct {
 	Rows int
 	Cols []ColumnStats
 
-	// counts, when retained (CollectCounting), holds the exact per-column
-	// value counts the ColumnStats are derived from, enabling O(delta)
-	// maintenance in WithDelta. deltas counts the WithDelta applications
-	// since the last exact collection.
+	// counts holds the exact per-column value counts the ColumnStats are
+	// derived from, enabling O(delta) maintenance in WithDelta. deltas
+	// counts the WithDelta applications since the last exact collection.
 	counts []map[relation.Value]int
 	deltas int
 }
@@ -103,30 +101,19 @@ type Stats struct {
 }
 
 // Collect computes the statistics for every relation of db in one pass
-// over each relation's rows.
+// over each relation's rows, retaining the per-column value counts that
+// WithDelta maintains incrementally (one count entry per column and
+// distinct value).
 func Collect(db *relation.Database) *Stats {
-	return collect(db, false)
-}
-
-// CollectCounting is Collect retaining the per-column value counts, the
-// counting form WithDelta maintains incrementally. It costs the same scan
-// as Collect plus the memory of one count entry per (column, distinct
-// value).
-func CollectCounting(db *relation.Database) *Stats {
-	return collect(db, true)
-}
-
-func collect(db *relation.Database, counting bool) *Stats {
 	st := &Stats{db: db, rels: make(map[string]*RelationStats, db.NumRelations())}
 	for _, name := range db.RelationNames() {
-		st.rels[name] = collectRelation(db.Relation(name), counting)
+		st.rels[name] = collectRelation(db.Relation(name))
 	}
 	return st
 }
 
 // collectRelation scans r once, counting every column's values.
-func collectRelation(r *relation.Relation, counting bool) *RelationStats {
-	rs := &RelationStats{Rows: r.Len(), Cols: make([]ColumnStats, r.Arity())}
+func collectRelation(r *relation.Relation) *RelationStats {
 	counts := make([]map[relation.Value]int, r.Arity())
 	for c := range counts {
 		counts[c] = make(map[relation.Value]int)
@@ -137,11 +124,9 @@ func collectRelation(r *relation.Relation, counting bool) *RelationStats {
 			counts[c][v]++
 		}
 	}
+	rs := &RelationStats{Rows: r.Len(), Cols: make([]ColumnStats, r.Arity()), counts: counts}
 	for c, m := range counts {
 		deriveColumn(&rs.Cols[c], m)
-	}
-	if counting {
-		rs.counts = counts
 	}
 	return rs
 }
@@ -185,10 +170,9 @@ func (st *Stats) Database() *relation.Database { return st.db }
 func (st *Stats) Relation(name string) *RelationStats { return st.rels[name] }
 
 // StalenessRebuild is the number of WithDelta applications a relation's
-// counting form absorbs before the next delta triggers an exact
+// value counts absorb before the next delta triggers an exact
 // recollection instead. The counts are exact, so this is defensive: it
-// bounds the lifetime of any drift and periodically reclaims map garbage
-// from churned values.
+// bounds how long any drift can last.
 const StalenessRebuild = 64
 
 // RelationChange is one relation's net tuple delta, as WithDelta consumes
@@ -202,10 +186,10 @@ type RelationChange struct {
 
 // WithDelta derives the statistics of db — the changed database version —
 // from st by absorbing the given per-relation changes; st itself is left
-// untouched (old-epoch readers keep using it). Relations with retained
-// value counts are maintained in O(|delta|); relations without counts,
-// unknown relations, and relations past StalenessRebuild deltas are
-// recollected exactly (counting) from db.
+// untouched (old-epoch readers keep using it). Known relations are
+// updated from their value counts without rescanning their rows; new
+// relations and relations past StalenessRebuild deltas are recollected
+// exactly from db.
 func (st *Stats) WithDelta(db *relation.Database, changes []RelationChange) *Stats {
 	out := &Stats{db: db, rels: make(map[string]*RelationStats, len(st.rels)+len(changes))}
 	for name, rs := range st.rels {
@@ -218,8 +202,8 @@ func (st *Stats) WithDelta(db *relation.Database, changes []RelationChange) *Sta
 			continue
 		}
 		rs := st.rels[ch.Name]
-		if rs == nil || rs.counts == nil || rs.deltas >= StalenessRebuild {
-			out.rels[ch.Name] = collectRelation(r, true)
+		if rs == nil || rs.deltas >= StalenessRebuild {
+			out.rels[ch.Name] = collectRelation(r)
 			continue
 		}
 		nrs := &RelationStats{
@@ -252,7 +236,7 @@ func (st *Stats) WithDelta(db *relation.Database, changes []RelationChange) *Sta
 // DiffFrom compares st against independently collected statistics over the
 // same data, returning "" when every relation's row count, per-column
 // distinct count and MCV sketch agree, or a description of the first
-// divergence. The counting form is exact, so incremental maintenance must
+// divergence. The value counts are exact, so incremental maintenance must
 // match a from-scratch collection bit for bit; the differential harness
 // uses this to catch stats drift that answer comparison cannot see.
 func (st *Stats) DiffFrom(other *Stats) string {

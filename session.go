@@ -75,7 +75,7 @@ func FindRulesContext(ctx context.Context, db *Database, mq *Metaquery, opt Opti
 // FindRulesStatsContext is FindRulesContext returning the engine's search
 // counters.
 func FindRulesStatsContext(ctx context.Context, db *Database, mq *Metaquery, opt Options) ([]Answer, *Stats, error) {
-	return engine.FindRulesContext(ctx, db, mq, opt)
+	return engine.NewEngine(db).FindRulesStats(ctx, mq, opt)
 }
 
 // NaiveFindRulesContext is NaiveFindRules bounded by ctx: enumeration
@@ -88,7 +88,7 @@ func NaiveFindRulesContext(ctx context.Context, db *Database, mq *Metaquery, typ
 // DecideContext is Decide bounded by ctx: the search stops promptly with
 // ctx.Err() when ctx is cancelled or its deadline passes.
 func DecideContext(ctx context.Context, db *Database, mq *Metaquery, ix Index, k Rat, typ InstType) (bool, *Instantiation, error) {
-	return engine.DecideFirst(ctx, db, mq, ix, k, typ)
+	return engine.NewEngine(db).Decide(ctx, mq, ix, k, typ)
 }
 
 // DecideFirstContext solves the decision problem ⟨DB, MQ, I, k, T⟩ with
@@ -102,7 +102,7 @@ func DecideContext(ctx context.Context, db *Database, mq *Metaquery, ix Index, k
 // a NO verdict. Callers deciding repeatedly over one database should hold
 // a NewEngine and use Prepared.DecideFirst directly.
 func DecideFirstContext(ctx context.Context, db *Database, mq *Metaquery, ix Index, k Rat, typ InstType) (bool, *Instantiation, error) {
-	return engine.DecideFirst(ctx, db, mq, ix, k, typ)
+	return engine.NewEngine(db).Decide(ctx, mq, ix, k, typ)
 }
 
 // DecideParallelContext is DecideParallel bounded by ctx: all workers stop
