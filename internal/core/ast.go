@@ -397,12 +397,12 @@ func (r Rule) AllAtoms() []relation.Atom {
 // String renders the rule in Datalog arrow syntax.
 func (r Rule) String() string {
 	var buf [128]byte
-	return string(r.appendTo(buf[:0]))
+	return string(r.AppendTo(buf[:0]))
 }
 
-// appendTo appends the String rendering of r to dst, rendering every atom
-// through relation.Atom.AppendTo.
-func (r Rule) appendTo(dst []byte) []byte {
+// AppendTo appends the String rendering of r to dst and returns the
+// extended slice, rendering every atom through relation.Atom.AppendTo.
+func (r Rule) AppendTo(dst []byte) []byte {
 	dst = r.Head.AppendTo(dst, nil)
 	dst = append(dst, " <- "...)
 	for i, a := range r.Body {

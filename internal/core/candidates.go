@@ -207,22 +207,16 @@ func ForEachInstantiationContext(ctx context.Context, db *relation.Database, mq 
 			return f(sigma)
 		}
 		l := patterns[i]
-		key := l.Key()
 		for _, a := range Candidates(db, l, typ, i) {
 			// Enforce functionality of σ' incrementally.
-			if rel, ok := sigma.relOf[l.Pred]; ok && rel != a.Pred {
+			if rel, ok := sigma.RelationOf(l.Pred); ok && rel != a.Pred {
 				continue
 			}
-			_, hadRel := sigma.relOf[l.Pred]
-			sigma.assign[key] = a
-			if !hadRel {
-				sigma.relOf[l.Pred] = a.Pred
+			if err := sigma.Assign(l, a); err != nil {
+				return false, err
 			}
 			cont, err := rec(i + 1)
-			delete(sigma.assign, key)
-			if !hadRel {
-				delete(sigma.relOf, l.Pred)
-			}
+			sigma.Unassign(l)
 			if err != nil || !cont {
 				return cont, err
 			}

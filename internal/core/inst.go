@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -56,31 +58,63 @@ func freshVar(patternIdx, pos int) string {
 // atoms over database relations whose restriction to predicate variables is
 // functional (Definition 2.1). Ordinary (non-pattern) literal schemes are
 // untouched by σ.
+//
+// A metaquery has a handful of relation patterns, so σ is one slice of
+// (pattern, atom) bindings searched linearly by the pattern's predicate
+// variable and argument list. σ' needs no storage of its own: Assign keeps
+// the bindings functional on predicate variables, so σ'(Q) is the relation
+// of any binding whose pattern has predicate variable Q. Lookups, Unassign
+// and an Assign within the slice's capacity allocate nothing.
 type Instantiation struct {
-	// assign maps LiteralScheme.Key() of each relation pattern to its atom.
-	assign map[string]relation.Atom
-	// relOf maps each predicate variable to its relation name (σ').
-	relOf map[string]string
+	b []binding
+}
+
+// binding is one pattern -> atom entry of σ. The scheme is always a
+// relation pattern (PredVar set); both it and the atom share their argument
+// slices with the metaquery and the candidate lists, which never mutate.
+type binding struct {
+	scheme LiteralScheme
+	atom   relation.Atom
 }
 
 // NewInstantiation returns an empty instantiation.
-func NewInstantiation() *Instantiation {
-	return &Instantiation{
-		assign: make(map[string]relation.Atom),
-		relOf:  make(map[string]string),
-	}
+func NewInstantiation() *Instantiation { return &Instantiation{} }
+
+// Clone returns an independent copy of σ. The copy has room for one more
+// binding, so completing a body instantiation with its head does not grow
+// it.
+func (s *Instantiation) Clone() *Instantiation {
+	b := make([]binding, len(s.b), len(s.b)+1)
+	copy(b, s.b)
+	return &Instantiation{b: b}
 }
 
-// Clone returns an independent copy of σ.
-func (s *Instantiation) Clone() *Instantiation {
-	c := NewInstantiation()
-	for k, v := range s.assign {
-		c.assign[k] = v
+// find returns the index of pattern l's binding, or -1.
+func (s *Instantiation) find(l LiteralScheme) int {
+	if !l.PredVar {
+		return -1
 	}
-	for k, v := range s.relOf {
-		c.relOf[k] = v
+	for i := range s.b {
+		if sameKey(s.b[i].scheme, l) {
+			return i
+		}
 	}
-	return c
+	return -1
+}
+
+// sameKey reports whether two schemes render the same Key, the identity
+// by which ls(MQ) deduplicates literal schemes. Argument lists render
+// joined by ',', so lists that differ only in how a quoted constant holding
+// ',' splits them compare equal; any other difference makes them unequal.
+func sameKey(l, m LiteralScheme) bool {
+	if l.Pred != m.Pred {
+		return false
+	}
+	if slices.Equal(l.Args, m.Args) {
+		return true
+	}
+	var lb, mb [64]byte
+	return bytes.Equal(l.appendKey(lb[:0]), m.appendKey(mb[:0]))
 }
 
 // Assign records that pattern l maps to atom a. It returns an error if l is
@@ -90,71 +124,68 @@ func (s *Instantiation) Assign(l LiteralScheme, a relation.Atom) error {
 	if !l.PredVar {
 		return fmt.Errorf("core: assigning to non-pattern scheme %s", l)
 	}
-	var buf [64]byte
-	key := l.appendKey(buf[:0])
-	if prev, ok := s.assign[string(key)]; ok {
-		if !prev.Equal(a) {
+	if i := s.find(l); i >= 0 {
+		if prev := s.b[i].atom; !prev.Equal(a) {
 			return fmt.Errorf("core: pattern %s already assigned to %s", l, prev)
 		}
 		return nil
 	}
-	if rel, ok := s.relOf[l.Pred]; ok && rel != a.Pred {
+	if rel, ok := s.RelationOf(l.Pred); ok && rel != a.Pred {
 		return fmt.Errorf("core: predicate variable %s already mapped to %s, cannot map to %s", l.Pred, rel, a.Pred)
 	}
-	s.assign[string(key)] = a
-	s.relOf[l.Pred] = a.Pred
+	s.b = append(s.b, binding{scheme: l, atom: a})
 	return nil
 }
 
-// Unassign removes the assignment for pattern l, restoring σ'
-// bookkeeping: the predicate variable's relation binding is dropped when no
-// other assigned pattern uses that predicate variable.
+// Unassign removes the assignment for pattern l. σ'(l.Pred) stays defined
+// exactly while another assigned pattern shares the predicate variable.
 func (s *Instantiation) Unassign(l LiteralScheme) {
-	var buf [64]byte
-	key := l.appendKey(buf[:0])
-	if _, ok := s.assign[string(key)]; !ok {
+	i := s.find(l)
+	if i < 0 {
 		return
 	}
-	delete(s.assign, string(key))
-	// Drop the σ' binding unless another assigned pattern shares the
-	// predicate variable. Pattern keys encode "?Pred(args)".
-	n := len(l.Pred) + 1
-	for k := range s.assign {
-		if len(k) > n && k[n] == '(' && k[1:n] == l.Pred {
-			return
-		}
-	}
-	delete(s.relOf, l.Pred)
+	last := len(s.b) - 1
+	copy(s.b[i:], s.b[i+1:])
+	s.b[last] = binding{}
+	s.b = s.b[:last]
 }
 
 // AtomFor returns the atom assigned to pattern l, if any.
 func (s *Instantiation) AtomFor(l LiteralScheme) (relation.Atom, bool) {
-	var buf [64]byte
-	a, ok := s.assign[string(l.appendKey(buf[:0]))]
-	return a, ok
+	if i := s.find(l); i >= 0 {
+		return s.b[i].atom, true
+	}
+	return relation.Atom{}, false
 }
 
 // RelationOf returns σ'(q): the relation assigned to predicate variable q.
 func (s *Instantiation) RelationOf(q string) (string, bool) {
-	r, ok := s.relOf[q]
-	return r, ok
+	for i := range s.b {
+		if s.b[i].scheme.Pred == q {
+			return s.b[i].atom.Pred, true
+		}
+	}
+	return "", false
 }
 
 // Len returns the number of assigned patterns.
-func (s *Instantiation) Len() int { return len(s.assign) }
+func (s *Instantiation) Len() int { return len(s.b) }
 
 // Agrees reports whether s and t agree in the sense of Definition 4.13:
 // they assign the same atoms to shared patterns and the same relations to
 // shared predicate variables.
 func (s *Instantiation) Agrees(t *Instantiation) bool {
-	for k, a := range s.assign {
-		if b, ok := t.assign[k]; ok && !b.Equal(a) {
-			return false
-		}
-	}
-	for q, r := range s.relOf {
-		if r2, ok := t.relOf[q]; ok && r2 != r {
-			return false
+	for _, x := range s.b {
+		for _, y := range t.b {
+			if x.scheme.Pred != y.scheme.Pred {
+				continue
+			}
+			if x.atom.Pred != y.atom.Pred {
+				return false
+			}
+			if sameKey(x.scheme, y.scheme) && !x.atom.Equal(y.atom) {
+				return false
+			}
 		}
 	}
 	return true
@@ -166,11 +197,10 @@ func (s *Instantiation) Compose(t *Instantiation) (*Instantiation, error) {
 		return nil, fmt.Errorf("core: composing non-agreeing instantiations")
 	}
 	c := s.Clone()
-	for k, a := range t.assign {
-		c.assign[k] = a
-	}
-	for q, r := range t.relOf {
-		c.relOf[q] = r
+	for _, y := range t.b {
+		if c.find(y.scheme) < 0 {
+			c.b = append(c.b, y)
+		}
 	}
 	return c, nil
 }
@@ -206,17 +236,28 @@ func (s *Instantiation) Apply(mq *Metaquery) (Rule, error) {
 	return Rule{Head: head, Body: body}, nil
 }
 
+// sortedBindings pairs every binding's pattern key (LiteralScheme.Key) with
+// its atom, in key order: the canonical order of String and Key.
+func (s *Instantiation) sortedBindings() []keyedAtom {
+	out := make([]keyedAtom, len(s.b))
+	for i, x := range s.b {
+		out[i] = keyedAtom{key: x.scheme.Key(), atom: x.atom}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
+}
+
+type keyedAtom struct {
+	key  string
+	atom relation.Atom
+}
+
 // String renders σ as a sorted list of pattern->atom bindings.
 func (s *Instantiation) String() string {
-	keys := make([]string, 0, len(s.assign))
-	for k := range s.assign {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		a := s.assign[k]
-		parts[i] = fmt.Sprintf("%s -> %s", strings.TrimPrefix(k, "?"), a.String())
+	kv := s.sortedBindings()
+	parts := make([]string, len(kv))
+	for i, x := range kv {
+		parts[i] = fmt.Sprintf("%s -> %s", strings.TrimPrefix(x.key, "?"), x.atom.String())
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }
@@ -224,16 +265,11 @@ func (s *Instantiation) String() string {
 // Key returns a canonical identity for σ, used to deduplicate
 // instantiations during enumeration.
 func (s *Instantiation) Key() string {
-	keys := make([]string, 0, len(s.assign))
-	for k := range s.assign {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
+	for _, x := range s.sortedBindings() {
+		b.WriteString(x.key)
 		b.WriteString("=>")
-		b.WriteString(s.assign[k].String())
+		b.WriteString(x.atom.String())
 		b.WriteByte(';')
 	}
 	return b.String()

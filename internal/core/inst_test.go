@@ -323,6 +323,17 @@ func TestAgreesAndCompose(t *testing.T) {
 	if _, err := s1.Compose(s3); err == nil {
 		t.Error("Compose of conflicting instantiations succeeded")
 	}
+	// Different patterns under one predicate variable must agree on σ'.
+	s4 := NewInstantiation()
+	s4.Assign(Pattern("P", "Y", "X"), relation.NewAtom("b", "Y", "X"))
+	if s1.Agrees(s4) {
+		t.Error("instantiations mapping P to different relations agree")
+	}
+	s4.Unassign(Pattern("P", "Y", "X"))
+	s4.Assign(Pattern("P", "Y", "X"), relation.NewAtom("a", "Y", "X"))
+	if !s1.Agrees(s4) {
+		t.Error("instantiations mapping P to the same relation disagree")
+	}
 }
 
 func TestInstantiationSubsumptionAcrossTypes(t *testing.T) {
@@ -394,24 +405,65 @@ func TestUnassignRelationOfString(t *testing.T) {
 	}
 }
 
-// TestInstantiationLookupsDoNotAllocate pins the render-free pattern
-// lookups: AtomFor, an idempotent re-Assign and an Unassign of an absent
-// pattern render the pattern key into a stack buffer and build no string.
+// TestInstantiationLookupsDoNotAllocate pins the slice-backed σ's cheap
+// operations: AtomFor and RelationOf scan the bindings, Unassign shifts
+// them, and an Assign within the slice's capacity appends in place, none of
+// them allocating. Clone takes at most two allocations and leaves room for
+// the head binding.
 func TestInstantiationLookupsDoNotAllocate(t *testing.T) {
 	s := NewInstantiation()
 	p, q := Pattern("P", "X", "Y"), Pattern("Q", "Y")
-	a := relation.NewAtom("a", "X", "Y")
+	a, b := relation.NewAtom("a", "X", "Y"), relation.NewAtom("b", "Y")
 	if err := s.Assign(p, a); err != nil {
 		t.Fatal(err)
 	}
+	full := s.Clone()
 	for name, f := range map[string]func(){
 		"AtomFor hit":       func() { s.AtomFor(p) },
 		"AtomFor miss":      func() { s.AtomFor(q) },
+		"AtomFor P(Y,X)":    func() { s.AtomFor(Pattern("P", "Y", "X")) },
+		"RelationOf hit":    func() { s.RelationOf("P") },
+		"RelationOf miss":   func() { s.RelationOf("Q") },
 		"re-Assign":         func() { _ = s.Assign(p, a) },
 		"Unassign (absent)": func() { s.Unassign(q) },
+		"Assign+Unassign": func() {
+			if err := full.Assign(q, b); err != nil {
+				t.Fatal(err)
+			}
+			full.Unassign(q)
+		},
 	} {
 		if got := testing.AllocsPerRun(100, f); got != 0 {
 			t.Errorf("%s allocated %.1f times, want 0", name, got)
 		}
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		c := s.Clone()
+		if err := c.Assign(q, b); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2 {
+		t.Errorf("Clone plus a head Assign allocated %.1f times, want at most 2", got)
+	}
+}
+
+// TestInstantiationKeyIdentity pins σ's pattern identity to the rendered
+// Key, the identity ls(MQ) deduplicates by: a quoted constant holding ','
+// renders like two arguments, so both spellings name one pattern.
+func TestInstantiationKeyIdentity(t *testing.T) {
+	s := NewInstantiation()
+	one, two := Pattern("P", "a,b"), Pattern("P", "a", "b")
+	if one.Key() != two.Key() {
+		t.Fatalf("keys %q and %q differ", one.Key(), two.Key())
+	}
+	a := relation.NewAtom("r", "X")
+	if err := s.Assign(one, a); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.AtomFor(two); !ok || !got.Equal(a) {
+		t.Fatalf("AtomFor(%s) = %v, %v; want %v", two, got, ok, a)
+	}
+	if got, ok := s.AtomFor(Pattern("P", "a", "c")); ok {
+		t.Fatalf("AtomFor(P(a,c)) = %v", got)
 	}
 }

@@ -136,7 +136,7 @@ func RenderAnswers(as []Answer) RenderedAnswers {
 	r := RenderedAnswers{Answers: as, buf: make([]byte, 0, 64*len(as)), spans: make([][2]int, len(as))}
 	for i := range as {
 		lo := len(r.buf)
-		r.buf = as[i].Rule.appendTo(r.buf)
+		r.buf = as[i].Rule.AppendTo(r.buf)
 		r.spans[i] = [2]int{lo, len(r.buf)}
 	}
 	return r

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -74,11 +76,31 @@ func (c *candCursor) take() []relation.Atom {
 // caller then runs sequentially.
 var errNoShard = errors.New("engine: no partitionable scheme")
 
+// PanicError reports a panic inside a parallel search worker. The worker
+// recovers it, so the panic fails its execution with this error instead of
+// ending the process: net/http recovers panics on handler goroutines only.
+type PanicError struct {
+	// Value is the value the worker panicked with.
+	Value any
+	// Stack is the worker goroutine's stack at the panic.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("engine: parallel search worker panicked: %v", e.Value)
+}
+
+// shardHook, when non-nil, is called with every worker's run once its
+// consumer is installed. Tests inject faults through it; it is nil
+// otherwise.
+var shardHook func(*run)
+
 // shard runs one sharded search over the epoch ep and visit order: up to
 // opt.Workers goroutines each hold one run for all the chunks they claim,
 // with its consumer installed by init. Each chunk is traced as a root span
 // under the coordName coordinator. A chunk ending in errFound or errStop
-// stops the other workers. The workers' counters are merged into st, which
+// stops the other workers, and so does a worker error, panics included
+// (as a *PanicError). The workers' counters are merged into st, which
 // starts out carrying the execution's Width and Nodes.
 //
 // It returns errNoShard, having done nothing, when the query has no
@@ -113,9 +135,25 @@ func (p *Prepared) shard(ctx context.Context, ep *prepEpoch, opt Options, order 
 		go func() {
 			defer wg.Done()
 			r := p.newRunEp(wctx, opt, ep)
-			defer r.release()
+			defer func() {
+				if v := recover(); v != nil {
+					// The run's state is torn mid-search: drop it rather
+					// than pool it.
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = &PanicError{Value: v, Stack: debug.Stack()}
+					}
+					mu.Unlock()
+					cancel()
+					return
+				}
+				r.release()
+			}()
 			r.order, r.restrictID = order, schemeID
 			init(r)
+			if shardHook != nil {
+				shardHook(r)
+			}
 			for block := cursor.take(); block != nil; block = cursor.take() {
 				r.restrict = block
 				r.span = coord
@@ -127,12 +165,12 @@ func (p *Prepared) shard(ctx context.Context, ep *prepEpoch, opt Options, order 
 				switch {
 				case err == errFound || err == errStop:
 					stopped = true
-					cancel()
 				case err != nil && firstErr == nil:
 					firstErr = err
 				}
 				mu.Unlock()
 				if err != nil {
+					cancel()
 					return
 				}
 				// Counters restart per chunk, so each chunk span reports

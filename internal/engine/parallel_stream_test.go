@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -406,5 +407,46 @@ func TestShardContract(t *testing.T) {
 			c.run(t)
 			checkGoroutines(t, baseline)
 		})
+	}
+}
+
+// TestShardWorkerPanicFailsRun injects a panic into one worker's body
+// search: the execution must fail with a *PanicError carrying the panic
+// value, stop the other worker, and leave no goroutine running.
+func TestShardWorkerPanicFailsRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	db := gen.DBConfig{Relations: 3, MinArity: 2, MaxArity: 2, MinTuples: 80, MaxTuples: 80, Domain: 9}.Generate(rng)
+	mq, err := gen.MQConfig{BodyPatterns: 3, PatternArity: 2, Cyclic: true}.Generate(rng, db)
+	if err != nil {
+		t.Fatalf("gen: %v", err)
+	}
+	prep, err := NewEngine(db).Prepare(mq, Options{Type: core.Type1, Workers: 2})
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	baseline := runtime.NumGoroutine()
+	var fired sync.Once
+	shardHook = func(r *run) {
+		onBody := r.onBody
+		r.onBody = func(b *body) error {
+			fired.Do(func() { panic("injected worker fault") })
+			return onBody(b)
+		}
+	}
+	defer func() { shardHook = nil }()
+	answers, _, err := prep.FindRulesStats(context.Background())
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("FindRulesStats = %d answers, err %v; want a *PanicError", len(answers), err)
+	}
+	if pe.Value != "injected worker fault" || len(pe.Stack) == 0 || !strings.Contains(err.Error(), "injected worker fault") {
+		t.Fatalf("PanicError %q = %q with %d stack bytes", err, pe.Value, len(pe.Stack))
+	}
+	checkGoroutines(t, baseline)
+
+	// The engine stays usable: the next execution runs clean.
+	shardHook = nil
+	if _, err := prep.FindRules(context.Background()); err != nil {
+		t.Fatalf("FindRules after a recovered panic: %v", err)
 	}
 }

@@ -126,6 +126,11 @@ type run struct {
 	bjTables []*relation.Table
 	bjOwn    []bool
 	bjAtoms  []relation.Atom
+
+	// sigma is the body search's σ, extended and shrunk in place by
+	// instantiateNode. Assign and Unassign pair up on every path, so it is
+	// empty between searches and its backing array carries over.
+	sigma core.Instantiation
 }
 
 // release clears everything table- or query-referencing from the run and
@@ -134,6 +139,10 @@ type run struct {
 // retained, which is what makes repeated executions allocation-free.
 func (r *run) release() {
 	r.keyIdx.Reset(r.sc)
+	if r.sigma.Len() != 0 {
+		// Only a panic unwinds past an Unassign: drop the stale bindings.
+		r.sigma = core.Instantiation{}
+	}
 	clear(r.rTables)
 	clear(r.sTables)
 	for i := range r.sOwned {
@@ -165,7 +174,7 @@ func (r *run) search() error {
 // forEachBody drives the iterator core: it walks the node order depth
 // first and calls r.onBody once per complete body instantiation.
 func (r *run) forEachBody() error {
-	return r.findBodies(0, core.NewInstantiation())
+	return r.findBodies(0, &r.sigma)
 }
 
 // anyThresholdChecked reports whether empty-join pruning is sound: with at

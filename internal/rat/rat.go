@@ -150,14 +150,23 @@ func (r Rat) Float64() float64 {
 
 // String formats r as "num/den", or "0" / "1" for those exact values.
 func (r Rat) String() string {
+	var buf [41]byte
+	return string(r.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String rendering of r to dst and returns the
+// extended slice.
+func (r Rat) AppendTo(dst []byte) []byte {
 	r = r.norm()
 	switch {
 	case r.num == 0:
-		return "0"
+		return append(dst, '0')
 	case r.num == r.den:
-		return "1"
+		return append(dst, '1')
 	default:
-		return fmt.Sprintf("%d/%d", r.num, r.den)
+		dst = strconv.AppendInt(dst, r.num, 10)
+		dst = append(dst, '/')
+		return strconv.AppendInt(dst, r.den, 10)
 	}
 }
 

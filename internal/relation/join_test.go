@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -73,7 +74,7 @@ func TestCompileJoinPlanOrderMatchesShapePlan(t *testing.T) {
 					}
 				}
 			}
-			if !sameVars(got.Vars(), vars) {
+			if !slices.Equal(got.Vars(), vars) {
 				t.Fatalf("seed %d order %v: result schema %v, want %v", seed, order, got.Vars(), vars)
 			}
 		}
@@ -98,7 +99,7 @@ func TestJoinTablesOrderedEmptyIntermediate(t *testing.T) {
 	if !got.Empty() {
 		t.Fatalf("join with empty input yielded %d rows", got.Len())
 	}
-	if !sameVars(got.Vars(), []string{"B", "C", "D", "A"}) {
+	if !slices.Equal(got.Vars(), []string{"B", "C", "D", "A"}) {
 		t.Fatalf("empty result schema %v, want [B C D A]", got.Vars())
 	}
 }

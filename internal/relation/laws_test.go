@@ -9,6 +9,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -48,7 +49,7 @@ func TestLawJoinCommutative(t *testing.T) {
 		b := lawTable(r, []string{"Y", "Z"}, 4, 12)
 		ab, ba := a.NaturalJoin(b), b.NaturalJoin(a)
 		// The column orders differ (X,Y,Z vs Y,Z,X); the tuple sets must not.
-		return ab.EqualSet(ba) && !sameVars(ab.Vars(), ba.Vars())
+		return ab.EqualSet(ba) && !slices.Equal(ab.Vars(), ba.Vars())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -90,7 +91,7 @@ func TestLawFromAtomRepeatedVarsAndConstants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameVars(rep.Vars(), []string{"X", "Y"}) {
+	if !slices.Equal(rep.Vars(), []string{"X", "Y"}) {
 		t.Fatalf("p(X,X,Y) columns = %v, want [X Y]", rep.Vars())
 	}
 	want := mkTable(t, []string{"X", "Y"}, Tuple{c0, c1}, Tuple{c1, c1})

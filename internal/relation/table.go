@@ -321,45 +321,6 @@ func (t *Table) matchedScan(u *Table, tPos, uPos []int, sc *Scratch) []bool {
 	return matched
 }
 
-// Union returns t ∪ u; the tables must have identical column lists.
-func (t *Table) Union(u *Table) *Table {
-	if !sameVars(t.vars, u.vars) {
-		panic("relation: union over different columns")
-	}
-	out := t.Clone()
-	for r := 0; r < u.nrows; r++ {
-		out.add(u.row(r))
-	}
-	return out
-}
-
-// Diff returns t − u; the tables must have identical column lists.
-func (t *Table) Diff(u *Table) *Table {
-	if !sameVars(t.vars, u.vars) {
-		panic("relation: difference over different columns")
-	}
-	out := NewTable(t.vars)
-	for r := 0; r < t.nrows; r++ {
-		row := t.row(r)
-		if !u.contains(row) {
-			out.addUnique(row)
-		}
-	}
-	return out
-}
-
-func sameVars(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // SortedTuples returns the tuples in lexicographic order, for deterministic
 // output and tests.
 func (t *Table) SortedTuples() []Tuple {

@@ -126,19 +126,6 @@ func TestSemijoinNoSharedVars(t *testing.T) {
 	}
 }
 
-func TestUnionDiff(t *testing.T) {
-	a := mkTable(t, []string{"X"}, Tuple{1}, Tuple{2})
-	b := mkTable(t, []string{"X"}, Tuple{2}, Tuple{3})
-	u := a.Union(b)
-	if u.Len() != 3 {
-		t.Errorf("union = %d tuples", u.Len())
-	}
-	d := a.Diff(b)
-	if d.Len() != 1 || !d.Contains(Tuple{1}) {
-		t.Errorf("diff = %v", d)
-	}
-}
-
 func TestEqualSetColumnOrderInsensitive(t *testing.T) {
 	a := mkTable(t, []string{"X", "Y"}, Tuple{1, 2})
 	b := mkTable(t, []string{"Y", "X"}, Tuple{2, 1})

@@ -56,7 +56,10 @@ func thresholdFields(th core.Thresholds) (sup, cnf, cvr string) {
 //   - /v1/query answers ≡ Prepared.FindRules (rule strings and exact
 //     sup/cnf/cvr values),
 //   - /v1/stream rows ≡ /v1/query answers (same multiset, trailer "ok"),
-//   - /v1/decide verdicts ≡ Prepared.DecideFirst for each checked index.
+//   - /v1/decide verdicts ≡ Prepared.DecideFirst for each checked index,
+//   - /v1/query bodies and /v1/stream rows and trailers are byte for byte
+//     encoding/json's encoding of the same answers (checkQueryWire,
+//     checkStreamWire).
 //
 // This is the transport-level analog of internal/diff's engine-vs-oracle
 // sweep: it proves the server adds no query semantics of its own.
@@ -94,6 +97,7 @@ func TestServerDifferentialAgainstEngine(t *testing.T) {
 				if err := json.Unmarshal(body, &qr); err != nil {
 					t.Fatalf("unmarshal: %v", err)
 				}
+				checkQueryWire(t, body, want)
 				gotR := renderedJSON(qr.Answers)
 				if len(gotR) != len(wantR) {
 					t.Fatalf("server %d answers, engine %d", len(gotR), len(wantR))
@@ -113,6 +117,7 @@ func TestServerDifferentialAgainstEngine(t *testing.T) {
 				if code != http.StatusOK {
 					t.Fatalf("stream status %d: %s", code, body)
 				}
+				checkStreamWire(t, body, want)
 				rows, trailer := parseNDJSON(t, body)
 				if trailer.Status != "ok" || trailer.Answers != len(rows) {
 					t.Fatalf("stream trailer %+v with %d rows", trailer, len(rows))
@@ -140,6 +145,7 @@ func TestServerDifferentialAgainstEngine(t *testing.T) {
 				if code != http.StatusOK {
 					t.Fatalf("parallel query status %d: %s", code, body)
 				}
+				checkQueryWire(t, body, want)
 				var pqr queryResponse
 				if err := json.Unmarshal(body, &pqr); err != nil {
 					t.Fatalf("unmarshal parallel query: %v", err)
@@ -161,6 +167,7 @@ func TestServerDifferentialAgainstEngine(t *testing.T) {
 				if code != http.StatusOK {
 					t.Fatalf("parallel stream status %d: %s", code, body)
 				}
+				checkStreamWire(t, body, want)
 				prows, ptrailer := parseNDJSON(t, body)
 				if ptrailer.Status != "ok" || ptrailer.Answers != len(prows) {
 					t.Fatalf("parallel stream trailer %+v with %d rows", ptrailer, len(prows))

@@ -69,14 +69,6 @@ type decideRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// answerJSON is one discovered rule with its exact index values.
-type answerJSON struct {
-	Rule string `json:"rule"`
-	Sup  string `json:"sup"`
-	Cnf  string `json:"cnf"`
-	Cvr  string `json:"cvr"`
-}
-
 // statsJSON reports the engine's search-effort counters for one request.
 type statsJSON struct {
 	Width           int `json:"width"`
@@ -111,12 +103,14 @@ func toStatsJSON(st *engine.Stats) *statsJSON {
 	}
 }
 
-// queryResponse is the /v1/query answer document. Answers are reported in
-// the variable naming of the prepared-cache representative: α-equivalent
-// queries share one Prepared, so a repeat of "R(A,C) <- P(A,B), Q(B,C)"
-// after "R(X,Z) <- P(X,Y), Q(Y,Z)" renders its rules over X, Y, Z.
-type queryResponse struct {
-	Answers   []answerJSON    `json:"answers"`
+// queryEnvelope is the /v1/query document after its answers array,
+// {"answers":[...],"cache_hit":...}: wireBuf.queryDocument renders the
+// answers by hand and the envelope through encoding/json. Answers are
+// reported in the variable naming of the prepared-cache representative:
+// α-equivalent queries share one Prepared, so a repeat of
+// "R(A,C) <- P(A,B), Q(B,C)" after "R(X,Z) <- P(X,Y), Q(Y,Z)" renders its
+// rules over X, Y, Z.
+type queryEnvelope struct {
 	CacheHit  bool            `json:"cache_hit"`
 	ElapsedMS float64         `json:"elapsed_ms"`
 	Stats     *statsJSON      `json:"stats,omitempty"`
@@ -256,17 +250,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.answersServed.Add(uint64(len(answers)))
-	out := queryResponse{
-		Answers:   make([]answerJSON, len(answers)),
+	env := queryEnvelope{
 		CacheHit:  hit,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
 		Stats:     toStatsJSON(st),
 		Trace:     traceOut(tr, req.Trace),
 	}
-	for i, a := range answers {
-		out.Answers[i] = answerJSON{Rule: a.Rule.String(), Sup: a.Sup.String(), Cnf: a.Cnf.String(), Cvr: a.Cvr.String()}
-	}
-	writeJSON(w, out)
+	wb := wireBufs.Get().(*wireBuf)
+	defer wireBufs.Put(wb)
+	wb.queryDocument(answers, env)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(wb.out)
 }
 
 // handleDecide answers POST /v1/decide through the engine's first-witness
@@ -400,6 +394,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	wb := wireBufs.Get().(*wireBuf)
+	defer wireBufs.Put(wb)
 	var st engine.Stats
 	var streamErr error
 	n := 0
@@ -408,7 +404,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			streamErr = err
 			break
 		}
-		writeJSON(w, answerJSON{Rule: a.Rule.String(), Sup: a.Sup.String(), Cnf: a.Cnf.String(), Cvr: a.Cvr.String()})
+		wb.streamRow(&a)
+		w.Write(wb.out)
 		n++
 		s.metrics.streamRows.Add(1)
 		flush()
@@ -429,7 +426,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		trailer.Status = "error"
 		trailer.Error = streamErr.Error()
 	}
-	writeJSON(w, trailer)
+	encode(w, trailer)
 	flush()
 	if s.streamDone != nil {
 		s.streamDone(&st, streamErr)

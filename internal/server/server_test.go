@@ -311,6 +311,25 @@ func TestStreamEndpoint(t *testing.T) {
 	if st.StreamRows != uint64(len(rows)) || st.Streams != 1 {
 		t.Fatalf("stream metrics: %+v", st)
 	}
+
+	// Every stream is NDJSON, whether its first line is a row or, with no
+	// answer above the threshold, the trailer.
+	for _, minSup := range []string{"", "1"} {
+		blob, _ := json.Marshal(searchRequest{DB: "fig1", Query: "R(X,Z) <- P(X,Y), Q(Y,Z)", MinSup: minSup})
+		resp, err := http.Post(ts.URL+"/v1/stream", "application/json", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		rows, _ := parseNDJSON(t, body)
+		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+			t.Errorf("min_sup %q (%d rows): Content-Type %q, want application/x-ndjson", minSup, len(rows), ct)
+		}
+		if (minSup == "") != (len(rows) > 0) {
+			t.Errorf("min_sup %q streamed %d rows", minSup, len(rows))
+		}
+	}
 }
 
 // parseNDJSON splits an NDJSON body into answer rows and the trailer line.
