@@ -72,16 +72,13 @@ func (l LiteralScheme) Vars() []string {
 
 // Key returns a canonical identity for the scheme. Two syntactically equal
 // literal schemes are the same element of ls(MQ) (literal schemes form a
-// set in the paper).
+// set in the paper), and distinct ones get distinct keys: an argument
+// holding a byte outside the identifier alphabet (a quoted constant such
+// as "a,b") is double-quoted, as String renders it, so argument lists
+// cannot run together.
 func (l LiteralScheme) Key() string {
 	var buf [64]byte
-	return string(l.appendKey(buf[:0]))
-}
-
-// appendKey appends the Key rendering of l to dst. Map lookups index with
-// string(l.appendKey(stackBuf)), which the compiler performs without
-// allocating a string.
-func (l LiteralScheme) appendKey(dst []byte) []byte {
+	dst := buf[:0]
 	if l.PredVar {
 		dst = append(dst, '?')
 	}
@@ -91,9 +88,15 @@ func (l LiteralScheme) appendKey(dst []byte) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, a...)
+		if constArgNeedsQuotes(a) {
+			dst = append(dst, '"')
+			dst = append(dst, a...)
+			dst = append(dst, '"')
+		} else {
+			dst = append(dst, a...)
+		}
 	}
-	return append(dst, ')')
+	return string(append(dst, ')'))
 }
 
 // String renders the scheme in the paper's syntax. Relation names that

@@ -10,8 +10,9 @@ import (
 
 // Evaluator computes plausibility indices over one database through caches
 // shared across rule evaluations: the FromAtom materializations (keyed by
-// atom text) and — when the evaluator carries cardinality statistics — the
-// per-atom cost estimates. The instantiation searches (NaiveAnswers,
+// atom text), the semijoin counts of pairs of them (PairCounts) and — when
+// the evaluator carries cardinality statistics — the per-atom cost
+// estimates. The instantiation searches (NaiveAnswers,
 // Decide) evaluate thousands of rules whose atoms repeat constantly;
 // holding one Evaluator per search turns those repeats into cache hits
 // instead of fresh relation scans.
@@ -36,6 +37,11 @@ type Evaluator struct {
 	mu    sync.RWMutex
 	atoms map[string]atomEntry
 	ests  map[string]estEntry
+	// cached holds every table in atoms, so PairCounts can tell an atom
+	// materialization from any other table by its address; pairs is the
+	// pair-count memo over two such tables.
+	cached map[*relation.Table]struct{}
+	pairs  map[tablePair]pairCount
 }
 
 // atomEntry is one cached atom materialization together with its predicate,
@@ -51,6 +57,14 @@ type estEntry struct {
 	e    stats.Est
 	pred string
 }
+
+// tablePair keys the pair-count memo: a head table and a body table, both
+// atom materializations of the evaluator. They are immutable and pinned by
+// the atom cache, so their addresses identify them for its lifetime.
+type tablePair struct{ h, b *relation.Table }
+
+// pairCount is one memoized PairCounts result.
+type pairCount struct{ hb, bh int }
 
 // orderBuf is the pooled planning scratch of one join: the estimator
 // inputs and the order permutation, sized for the DP planning width.
@@ -93,30 +107,28 @@ func NewEvaluator(db *relation.Database) *Evaluator {
 // by the engine). st may be nil, degrading to NewEvaluator behavior.
 func NewEvaluatorStats(db *relation.Database, st *stats.Stats) *Evaluator {
 	return &Evaluator{
-		db:    db,
-		st:    st,
-		atoms: make(map[string]atomEntry),
-		ests:  make(map[string]estEntry),
+		db:     db,
+		st:     st,
+		atoms:  make(map[string]atomEntry),
+		ests:   make(map[string]estEntry),
+		cached: make(map[*relation.Table]struct{}),
+		pairs:  make(map[tablePair]pairCount),
 	}
 }
 
 // Fork returns an evaluator over db — a newer version of the evaluated
 // database — and its statistics, carrying over every cached atom table and
 // estimate whose relation is unchanged between the two versions
-// (Database.Unchanged). ev itself is untouched; old-epoch readers keep
-// using it.
+// (Database.Unchanged), and every memoized pair count whose two tables it
+// carries. ev itself is untouched; old-epoch readers keep using it.
 func (ev *Evaluator) Fork(db *relation.Database, st *stats.Stats) *Evaluator {
-	nev := &Evaluator{
-		db:    db,
-		st:    st,
-		atoms: make(map[string]atomEntry),
-		ests:  make(map[string]estEntry),
-	}
+	nev := NewEvaluatorStats(db, st)
 	ev.mu.RLock()
 	defer ev.mu.RUnlock()
 	for k, e := range ev.atoms {
 		if db.Unchanged(ev.db, e.pred) {
 			nev.atoms[k] = e
+			nev.cached[e.t] = struct{}{}
 		}
 	}
 	for k, e := range ev.ests {
@@ -124,7 +136,19 @@ func (ev *Evaluator) Fork(db *relation.Database, st *stats.Stats) *Evaluator {
 			nev.ests[k] = e
 		}
 	}
+	for k, c := range ev.pairs {
+		if nev.isCached(k.h) && nev.isCached(k.b) {
+			nev.pairs[k] = c
+		}
+	}
 	return nev
+}
+
+// isCached reports whether t is one of the evaluator's atom
+// materializations. The caller holds ev.mu (or owns ev exclusively).
+func (ev *Evaluator) isCached(t *relation.Table) bool {
+	_, ok := ev.cached[t]
+	return ok
 }
 
 // Database returns the database the evaluator is bound to.
@@ -180,9 +204,37 @@ func (ev *Evaluator) TableFor(a relation.Atom) (*relation.Table, error) {
 		t = prev.t // another goroutine won the race; keep one canonical table
 	} else {
 		ev.atoms[string(k)] = atomEntry{t: t, pred: a.Pred}
+		ev.cached[t] = struct{}{}
 	}
 	ev.mu.Unlock()
 	return t, nil
+}
+
+// PairCounts returns |h ⋉ b| and |b ⋉ h| as ix.PairCounts(h, b, sc) does,
+// memoized when both tables are atom materializations of this evaluator
+// (TableFor results): those counts depend only on two stored relations, so
+// they hold for the whole epoch, and Fork carries them across a delta that
+// leaves both relations alone. Any other table — relation.Unit(), a
+// run-owned body join whose recycled scratch storage makes its address no
+// identity — is counted through ix every time. A hit leaves ix untouched,
+// so the caller's reset discipline for ix is unchanged. The memo holds one
+// entry per distinct pair counted in the epoch and is not bounded.
+func (ev *Evaluator) PairCounts(h, b *relation.Table, ix *relation.KeyCounts, sc *relation.Scratch) (hb, bh int) {
+	k := tablePair{h: h, b: b}
+	ev.mu.RLock()
+	memo := ev.isCached(b) && ev.isCached(h)
+	c, hit := ev.pairs[k]
+	ev.mu.RUnlock()
+	if hit {
+		return c.hb, c.bh
+	}
+	hb, bh = ix.PairCounts(h, b, sc)
+	if memo {
+		ev.mu.Lock()
+		ev.pairs[k] = pairCount{hb: hb, bh: bh}
+		ev.mu.Unlock()
+	}
+	return hb, bh
 }
 
 // Join computes J(R) for the atom set R: TableFor on each atom, joined by

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -95,26 +94,18 @@ func (s *Instantiation) find(l LiteralScheme) int {
 		return -1
 	}
 	for i := range s.b {
-		if sameKey(s.b[i].scheme, l) {
+		if samePattern(s.b[i].scheme, l) {
 			return i
 		}
 	}
 	return -1
 }
 
-// sameKey reports whether two schemes render the same Key, the identity
-// by which ls(MQ) deduplicates literal schemes. Argument lists render
-// joined by ',', so lists that differ only in how a quoted constant holding
-// ',' splits them compare equal; any other difference makes them unequal.
-func sameKey(l, m LiteralScheme) bool {
-	if l.Pred != m.Pred {
-		return false
-	}
-	if slices.Equal(l.Args, m.Args) {
-		return true
-	}
-	var lb, mb [64]byte
-	return bytes.Equal(l.appendKey(lb[:0]), m.appendKey(mb[:0]))
+// samePattern reports whether two relation patterns are the same element
+// of ls(MQ): same predicate variable and argument list, which is exactly
+// when their Keys are equal.
+func samePattern(l, m LiteralScheme) bool {
+	return l.Pred == m.Pred && slices.Equal(l.Args, m.Args)
 }
 
 // Assign records that pattern l maps to atom a. It returns an error if l is
@@ -183,7 +174,7 @@ func (s *Instantiation) Agrees(t *Instantiation) bool {
 			if x.atom.Pred != y.atom.Pred {
 				return false
 			}
-			if sameKey(x.scheme, y.scheme) && !x.atom.Equal(y.atom) {
+			if samePattern(x.scheme, y.scheme) && !x.atom.Equal(y.atom) {
 				return false
 			}
 		}

@@ -448,22 +448,37 @@ func TestInstantiationLookupsDoNotAllocate(t *testing.T) {
 }
 
 // TestInstantiationKeyIdentity pins σ's pattern identity to the rendered
-// Key, the identity ls(MQ) deduplicates by: a quoted constant holding ','
-// renders like two arguments, so both spellings name one pattern.
+// Key, the identity ls(MQ) deduplicates by, and the Key to be injective: a
+// quoted constant holding ',' is quoted in the key, so P("a,b") and P(a,b)
+// are two patterns, in σ and in ls(MQ) alike.
 func TestInstantiationKeyIdentity(t *testing.T) {
 	s := NewInstantiation()
 	one, two := Pattern("P", "a,b"), Pattern("P", "a", "b")
-	if one.Key() != two.Key() {
-		t.Fatalf("keys %q and %q differ", one.Key(), two.Key())
+	if one.Key() == two.Key() {
+		t.Fatalf("P(\"a,b\") and P(a,b) share the key %q", one.Key())
 	}
-	a := relation.NewAtom("r", "X")
+	if got, want := one.Key(), `?P("a,b")`; got != want {
+		t.Fatalf("Key = %s, want %s", got, want)
+	}
+	a, b := relation.NewAtom("r", "X"), relation.NewAtom("s", "X", "Y")
 	if err := s.Assign(one, a); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s.AtomFor(two); !ok || !got.Equal(a) {
-		t.Fatalf("AtomFor(%s) = %v, %v; want %v", two, got, ok, a)
+	if got, ok := s.AtomFor(two); ok {
+		t.Fatalf("AtomFor(%s) = %v, served by the binding of %s", two, got, one)
 	}
-	if got, ok := s.AtomFor(Pattern("P", "a", "c")); ok {
-		t.Fatalf("AtomFor(P(a,c)) = %v", got)
+	if err := s.Assign(Pattern("Q", "a", "b"), b); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.AtomFor(Pattern("Q", "a", "b")); !ok || !got.Equal(b) {
+		t.Fatalf("AtomFor(Q(a,b)) = %v, %v; want %v", got, ok, b)
+	}
+	if got, ok := s.AtomFor(Pattern("Q", "a,b")); ok {
+		t.Fatalf("AtomFor(Q(\"a,b\")) = %v", got)
+	}
+
+	mq := MustParse(`R(X) <- P("a,b"), P(a,b), Q(X)`)
+	if got := len(mq.LiteralSchemes()); got != 4 {
+		t.Fatalf("ls(MQ) has %d schemes, want 4 (P(\"a,b\") and P(a,b) are distinct): %v", got, mq.LiteralSchemes())
 	}
 }

@@ -50,13 +50,23 @@ func RunDeltas(s *gen.Scenario) (*Mismatch, error) {
 		return nil, fmt.Errorf("prepare-parallel: %w", err)
 	}
 
-	// Warm both Prepareds on epoch 0 so the per-epoch join caches have
-	// content the epoch switch must correctly carry or drop.
+	single := singleBody(s)
+	prepSingle, err := eng.Prepare(single.MQ, opt)
+	if err != nil {
+		return nil, fmt.Errorf("prepare-single-body: %w", err)
+	}
+
+	// Warm the Prepareds on epoch 0 so the per-epoch join caches and the
+	// pair-count memo have content the epoch switch must correctly carry
+	// or drop.
 	if _, err := prep.FindRules(ctx); err != nil {
 		return nil, fmt.Errorf("warmup: %w", err)
 	}
 	if _, err := prepPar.FindRules(ctx); err != nil {
 		return nil, fmt.Errorf("warmup-parallel: %w", err)
+	}
+	if _, err := prepSingle.FindRules(ctx); err != nil {
+		return nil, fmt.Errorf("warmup-single-body: %w", err)
 	}
 
 	script := gen.DeltaScript(s, DeltaBatches)
@@ -115,6 +125,13 @@ func RunDeltas(s *gen.Scenario) (*Mismatch, error) {
 		}
 		if d := diffSets(answerSet(coreKeys(parFull)), wantSet); d != "" {
 			return mismatch("delta-findrules-parallel", fmt.Sprintf("workers=%d: %s", parWorkers, tag(d))), nil
+		}
+
+		// Single-atom bodies: the counts of pairs the batch left alone come
+		// from memo entries carried across the epoch.
+		if m, err := checkSingleBody(ctx, single, eng.Database(), prepSingle,
+			fmt.Sprintf("delta-single-body (batch %d)", bi)); m != nil || err != nil {
+			return m, err
 		}
 
 		// The incrementally maintained statistics must stay exactly what a

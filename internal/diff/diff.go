@@ -1,7 +1,8 @@
 // Package diff is the differential oracle harness: it runs one generated
 // scenario (internal/gen) through every execution path of the repo — the
 // naive enumerator, the findRules engine (cost-based planner), the
-// Prepared/Stream session API (sequential and worker-pool parallel), and
+// Prepared/Stream session API (sequential and worker-pool parallel), the
+// single-atom-body runs the pair-count memo serves, and
 // the naive, engine-backed, first-witness
 // (sequential and partitioned) and sampling ε–δ approximate
 // deciders — and checks each against the transparent brute-force oracle
@@ -30,6 +31,7 @@ import (
 	"github.com/mqgo/metaquery/internal/gen"
 	"github.com/mqgo/metaquery/internal/oracle"
 	"github.com/mqgo/metaquery/internal/rat"
+	"github.com/mqgo/metaquery/internal/relation"
 )
 
 // The harness drives the approximate decider under one fixed ε–δ contract:
@@ -360,6 +362,17 @@ func RunTally(s *gen.Scenario, tally *ApproxTally) (*Mismatch, error) {
 			Detail: fmt.Sprintf("workers=%d: %s", parWorkers, d)}, nil
 	}
 
+	// Path 5: single-atom bodies on one Prepared, where the pair-count memo
+	// serves the rerun and the decisions.
+	single := singleBody(s)
+	prepSingle, err := eng.Prepare(single.MQ, opt)
+	if err != nil {
+		return nil, fmt.Errorf("prepare-single-body: %w", err)
+	}
+	if m, err := checkSingleBody(ctx, single, s.DB, prepSingle, "single-body"); m != nil || err != nil {
+		return m, err
+	}
+
 	// The approximate decider runs under the harness's fixed ε–δ contract,
 	// seeded from the scenario so repros replay byte-identically.
 	prepApprox, err := eng.Prepare(s.MQ, engine.Options{Type: s.Type, Thresholds: s.Th,
@@ -500,29 +513,65 @@ func RunTally(s *gen.Scenario, tally *ApproxTally) (*Mismatch, error) {
 // checkWitness verifies a decider's witness against the oracle: applying it
 // to the metaquery must yield a rule whose index value genuinely exceeds k.
 func checkWitness(s *gen.Scenario, ix core.Index, k rat.Rat, wit *core.Instantiation, path string) *Mismatch {
-	if wit == nil {
-		return nil
-	}
-	rule, err := wit.Apply(s.MQ)
+	return checkWitnessOn(s, s.DB, ix, k, wit, path)
+}
+
+// singleBody returns s with its metaquery cut to the head and the first
+// body literal. Every body of that metaquery is one atom, whose join is the
+// engine's shared atom table, so the evaluator's pair-count memo answers
+// the head counts of every run after the first (and carries them across
+// Apply): a path the scenarios' multi-atom bodies, joined into run-owned
+// tables, never reach.
+func singleBody(s *gen.Scenario) *gen.Scenario {
+	c := *s
+	c.MQ = &core.Metaquery{Head: s.MQ.Head, Body: s.MQ.Body[:1]}
+	return &c
+}
+
+// checkSingleBody is the single-body leg of Run and RunDeltas: prep, a
+// Prepared of s.MQ (a singleBody scenario) on the engine whose current
+// database is db, must reproduce the oracle's answers over db twice — the
+// rerun served by the pair-count memo — and decide cnf and cvr at the
+// verdict-flipping bounds from the memo, with oracle-valid witnesses.
+func checkSingleBody(ctx context.Context, s *gen.Scenario, db *relation.Database, prep *engine.Prepared, path string) (*Mismatch, error) {
+	all, err := oracle.AllRules(db, s.MQ, s.Type)
 	if err != nil {
-		return &Mismatch{Scenario: s, Path: path + "-witness",
-			Detail: fmt.Sprintf("witness %s does not instantiate the metaquery: %v", wit, err)}
+		return nil, fmt.Errorf("%s oracle: %w", path, err)
 	}
-	sup, cnf, cvr, err := oracle.Indices(s.DB, rule)
-	if err != nil {
-		return &Mismatch{Scenario: s, Path: path + "-witness",
-			Detail: fmt.Sprintf("witness rule %s not evaluable: %v", rule, err)}
+	var wantKeys []string
+	maxes := map[core.Index]rat.Rat{core.Cnf: rat.Zero, core.Cvr: rat.Zero}
+	for _, a := range all {
+		maxes[core.Cnf] = rat.Max(maxes[core.Cnf], a.Cnf)
+		maxes[core.Cvr] = rat.Max(maxes[core.Cvr], a.Cvr)
+		if admitted(s.Th, a) {
+			wantKeys = append(wantKeys, answerKey(a.Rule.String(), a.Sup, a.Cnf, a.Cvr))
+		}
 	}
-	v := sup
-	switch ix {
-	case core.Cnf:
-		v = cnf
-	case core.Cvr:
-		v = cvr
+	wantSet := answerSet(wantKeys)
+	for _, p := range []string{path, path + "-rerun"} {
+		got, err := prep.FindRules(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p, err)
+		}
+		if d := diffSets(answerSet(coreKeys(got)), wantSet); d != "" {
+			return &Mismatch{Scenario: s, Path: p, Detail: d}, nil
+		}
 	}
-	if !v.Greater(k) {
-		return &Mismatch{Scenario: s, Path: path + "-witness",
-			Detail: fmt.Sprintf("witness rule %s has %s = %s, not > %s", rule, ix, v, k)}
+	for _, ix := range []core.Index{core.Cnf, core.Cvr} {
+		maxV := maxes[ix]
+		for _, k := range []rat.Rat{rat.Zero, rat.New(maxV.Num(), maxV.Den()*2), maxV} {
+			gotYes, wit, err := prep.DecideFirst(ctx, ix, k)
+			if err != nil {
+				return nil, fmt.Errorf("%s-decide: %w", path, err)
+			}
+			if wantYes := maxV.Greater(k); gotYes != wantYes {
+				return &Mismatch{Scenario: s, Path: path + "-decide",
+					Detail: fmt.Sprintf("%s > %s: got %v, oracle max %s says %v", ix, k, gotYes, maxV, wantYes)}, nil
+			}
+			if m := checkWitnessOn(s, db, ix, k, wit, path+"-decide"); m != nil {
+				return m, nil
+			}
+		}
 	}
-	return nil
+	return nil, nil
 }

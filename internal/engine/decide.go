@@ -121,7 +121,7 @@ func (p *Prepared) decide(ctx context.Context, ix core.Index, k rat.Rat, sampled
 // decider is the first-witness consumer of the body-search iterator, the
 // one decider behind DecideFirst and DecideApprox. The two differ only in
 // the test deciding whether one fraction |t ⋉ u| / |t| exceeds k: the
-// exact test counts it (KeyCounts.PairCounts for heads, SemijoinCounts for
+// exact test counts it (Evaluator.PairCounts for heads, SemijoinCounts for
 // support); the sampled test (decide_approx.go) estimates it from uniform
 // row samples, probed through a KeyCounts index, under the Options.Approx
 // (ε, δ) contract.
@@ -196,7 +196,8 @@ func (d *decider) found(full *core.Instantiation) error {
 // headExceeds is the head test of the decider's walk: does the queried
 // head-dependent index of head table h against body join b exceed k? The
 // exact test takes both counts from one KeyCounts.PairCounts pass, which
-// indexes b at most once for all its heads.
+// indexes b at most once for all its heads, or from the evaluator's
+// per-epoch memo when b is a shared atom table (Evaluator.PairCounts).
 func (d *decider) headExceeds(h, b *relation.Table) (bool, error) {
 	if d.sampled {
 		if d.ix == core.Cnf {
@@ -207,7 +208,7 @@ func (d *decider) headExceeds(h, b *relation.Table) (bool, error) {
 		return d.fractionExceeds(h, b, d.par.MaxSamples)
 	}
 	r := d.run
-	hb, bh := r.keyIdx.PairCounts(h, b, r.sc)
+	hb, bh := r.ep.snap.ev.PairCounts(h, b, &r.keyIdx, r.sc)
 	if d.ix == core.Cvr {
 		return fraction(hb, h.Len()).Greater(d.k), nil
 	}

@@ -301,3 +301,85 @@ func TestDecideFirstMatchesLimitOneIdiom(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelDecideSharesPairMemo runs exact cnf/cvr decisions with
+// Workers: 2 from two goroutines at once on one Prepared whose bodies are
+// single shared atom tables, so shard workers of concurrent runs fill and
+// read the evaluator's pair-count memo together (run it under -race). Every
+// verdict must match a sequential decision on a separate engine, on the
+// cold memo and on the warm one alike, and every witness must hold.
+func TestParallelDecideSharesPairMemo(t *testing.T) {
+	db := relation.NewDatabase()
+	for r := 0; r < 4; r++ {
+		for i := 0; i < 40; i++ {
+			db.MustInsertNamed(fmt.Sprint("r", r), fmt.Sprint("c", (i*(r+2))%11), fmt.Sprint("c", (i+r)%7))
+		}
+	}
+	mq := core.MustParse("R(X,Y) <- P(X,Y)")
+	seq, err := NewEngine(db).Prepare(mq, Options{Type: core.Type1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := NewEngine(db).Prepare(mq, Options{Type: core.Type1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type query struct {
+		ix   core.Index
+		k    rat.Rat
+		want bool
+	}
+	var queries []query
+	for _, ix := range []core.Index{core.Cnf, core.Cvr} {
+		for _, k := range []rat.Rat{rat.Zero, rat.New(1, 2), rat.New(9, 10), rat.One} {
+			want, _, err := seq.DecideFirst(context.Background(), ix, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries = append(queries, query{ix, k, want})
+		}
+	}
+	yes := 0
+	for _, q := range queries {
+		if q.want {
+			yes++
+		}
+	}
+	if yes == 0 || yes == len(queries) {
+		t.Fatalf("%d of %d verdicts are YES; the bounds must flip some", yes, len(queries))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 2; rep++ {
+				for i := range queries {
+					q := queries[(i+g*3)%len(queries)] // the goroutines start at different queries
+					yes, wit, err := par.DecideFirst(context.Background(), q.ix, q.k)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if yes != q.want {
+						t.Errorf("rep %d: %s > %s = %v with Workers: 2, %v sequentially", rep, q.ix, q.k, yes, q.want)
+						return
+					}
+					if !yes {
+						continue
+					}
+					rule, err := wit.Apply(mq)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if v, err := q.ix.Compute(db, rule); err != nil || !v.Greater(q.k) {
+						t.Errorf("witness %s has %s = %v (%v), not > %s", rule, q.ix, v, err, q.k)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -193,19 +193,25 @@ func TestFindRulesNearOneThreshold(t *testing.T) {
 
 // TestHeadCountsEdgeCases checks the one-pass head counting (cvr and cnf
 // from KeyCounts.PairCounts, with the body index reused across a body's
-// heads) against the naive engine on the shapes where the choice of
-// indexed side matters: FindRules must reproduce every answer and its
-// indices, and DecideFirst on cnf and cvr must reproduce the naive verdict
-// at every index value that occurs (the boundary where verdicts flip).
+// heads, and memoized per epoch by Evaluator.PairCounts) against the naive
+// engine on the shapes where the choice of indexed side matters: FindRules
+// must reproduce every answer and its indices, and DecideFirst on cnf and
+// cvr must reproduce the naive verdict at every index value that occurs
+// (the boundary where verdicts flip).
 func TestHeadCountsEdgeCases(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mq   string
 		typ  core.InstType
 		fill func(db *relation.Database)
-		// perBodyBuild asserts one body-index build per body visited: the
-		// heads are column permutations of one relation, all smaller than
-		// the body, so they share one index keyed in the body's order.
+		// perBodyBuild asserts the body-index builds of each run: the heads
+		// are column permutations of one relation, all smaller than the
+		// body, so they share one index keyed in the body's order. Every
+		// body is one shared atom table, so the first run of an epoch
+		// builds one index per body and every later run builds none (the
+		// evaluator's pair-count memo answers). The case's bodies range
+		// over two relations, t and u, and a delta to t must rebuild only
+		// t's bodies.
 		perBodyBuild bool
 	}{
 		{
@@ -215,6 +221,9 @@ func TestHeadCountsEdgeCases(t *testing.T) {
 			fill: func(db *relation.Database) {
 				for i := 0; i < 12; i++ {
 					db.MustInsertNamed("t", fmt.Sprint("a", i%3), fmt.Sprint("b", i%4), fmt.Sprint("a", i%5))
+				}
+				for i := 0; i < 8; i++ {
+					db.MustInsertNamed("u", fmt.Sprint("a", i%4), fmt.Sprint("a", i%3), fmt.Sprint("b", i))
 				}
 				for _, tup := range [][]string{{"a0", "a0"}, {"a1", "a3"}, {"a2", "a1"}} {
 					db.MustInsertNamed("r", tup...)
@@ -268,7 +277,8 @@ func TestHeadCountsEdgeCases(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr := obs.NewTracer()
-			prep, err := NewEngine(db).Prepare(mq, Options{Type: tc.typ, Tracer: tr})
+			eng := NewEngine(db.Clone())
+			prep, err := eng.Prepare(mq, Options{Type: tc.typ, Tracer: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,12 +326,53 @@ func TestHeadCountsEdgeCases(t *testing.T) {
 			if !tc.perBodyBuild {
 				return
 			}
-			roots := append(spansNamed(tr.Tree(), "findrules"), spansNamed(tr.Tree(), "decide")...)
-			for _, root := range roots {
-				if root.Attrs["bodies"] == "0" || root.Attrs["key_indexes"] != root.Attrs["bodies"] {
-					t.Fatalf("%s root: %s key-count index builds for %s bodies, want one per body",
-						root.Name, root.Attrs["key_indexes"], root.Attrs["bodies"])
+			runRoots := func() []*obs.SpanTree {
+				var out []*obs.SpanTree
+				for _, root := range tr.Tree() {
+					if root.Name == "findrules" || root.Name == "decide" {
+						out = append(out, root)
+					}
 				}
+				return out
+			}
+			roots := runRoots()
+			if len(roots) < 2 {
+				t.Fatalf("%d traced runs, want the FindRules and the decisions", len(roots))
+			}
+			first := roots[0]
+			if first.Name != "findrules" || first.Attrs["bodies"] == "0" || first.Attrs["key_indexes"] != first.Attrs["bodies"] {
+				t.Fatalf("first %s root: %s key-count index builds for %s bodies, want one per body",
+					first.Name, first.Attrs["key_indexes"], first.Attrs["bodies"])
+			}
+			for _, root := range roots[1:] {
+				if root.Attrs["key_indexes"] != "0" {
+					t.Fatalf("later %s root: %s key-count index builds, want 0 (memoized pair counts)",
+						root.Name, root.Attrs["key_indexes"])
+				}
+			}
+
+			// A delta to t re-materializes t's atom tables only: t's bodies
+			// rebuild their index, u's keep their memoized counts.
+			if _, err := eng.Apply(context.Background(), Delta{Relations: []RelationDelta{
+				{Name: "t", Insert: [][]string{{"a1", "b9", "a0"}}},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			db.MustInsertNamed("t", "a1", "b9", "a0")
+			want, err = core.NaiveAnswers(db, mq, tc.typ, core.Thresholds{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, st, err := prep.FindRulesStats(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameAnswers(t, got, want, tc.name+" after the delta")
+			roots = runRoots()
+			last := roots[len(roots)-1]
+			if st.BodiesReachedRoot != 12 || last.Attrs["key_indexes"] != "6" {
+				t.Fatalf("after a delta to t: %s key-count index builds for %d bodies, want 6 (t's six permutations) of 12",
+					last.Attrs["key_indexes"], st.BodiesReachedRoot)
 			}
 		})
 	}

@@ -249,8 +249,11 @@ func (r *run) completeHead(bd *body, accept func(*core.Instantiation) error) err
 // filtering on cover and confidence. Both head-dependent indices of a
 // candidate come from one counting pass (KeyCounts.PairCounts, using
 // b ⋉ (h ⋉ b) = b ⋉ h), so the figure's h' = h ⋉ b is never
-// materialized, and b is indexed at most once for all its heads. It is the
-// enumeration consumer of the body-search iterator (search.go).
+// materialized, and b is indexed at most once for all its heads. When b is
+// a shared atom table (a single-atom body), the counts come from the
+// evaluator's per-epoch memo (Evaluator.PairCounts) after the first run
+// that needs them. It is the enumeration consumer of the body-search
+// iterator (search.go).
 func (r *run) findHeads(bd *body) error {
 	th := r.opt.Thresholds
 	sup, err := r.computeSupport(bd.sigma, bd.s)
@@ -263,7 +266,7 @@ func (r *run) findHeads(bd *body) error {
 	}
 	var cnf, cvr rat.Rat
 	return r.forEachHead(bd, func(h, b *relation.Table) (bool, error) {
-		hb, bh := r.keyIdx.PairCounts(h, b, r.sc)
+		hb, bh := r.ep.snap.ev.PairCounts(h, b, &r.keyIdx, r.sc)
 		cvr, cnf = fraction(hb, h.Len()), fraction(bh, b.Len())
 		return (!th.CheckCvr || cvr.Greater(th.Cvr)) && (!th.CheckCnf || cnf.Greater(th.Cnf)), nil
 	}, func(full *core.Instantiation) error {

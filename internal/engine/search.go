@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/mqgo/metaquery/internal/core"
@@ -107,11 +108,11 @@ type run struct {
 	sc *relation.Scratch
 
 	// keyIdx is the run's key-count index. Exact runs count heads through
-	// it (KeyCounts.PairCounts): it indexes the current body join, built
-	// lazily and reset on every new body, since body joins are recycled
-	// scratch tables and pointer identity cannot key it. Sampled runs
-	// probe each fraction's sampled rows through it (KeyCounts.Probe) and
-	// reset it after the fraction. Its key storage is drawn from sc.
+	// it on an Evaluator.PairCounts memo miss: it indexes the current body
+	// join, built lazily and reset on every new body, since body joins are
+	// recycled scratch tables and pointer identity cannot key it. Sampled
+	// runs probe each fraction's sampled rows through it (KeyCounts.Probe)
+	// and reset it after the fraction. Its key storage is drawn from sc.
 	keyIdx relation.KeyCounts
 
 	// Reused staging buffers, retained across pooled executions: key and
@@ -336,7 +337,12 @@ func (r *run) nodeJoin(node *hypertree.Node, schemeIDs []int, sigma *core.Instan
 		r.tr.End(span, obs.A("error", err.Error()))
 		return nil, err
 	}
-	t := j.Project(node.Chi)
+	t := j
+	if !slices.Equal(j.Vars(), node.Chi) {
+		// A single-atom node whose columns already are χ in order keeps
+		// the cached atom table itself instead of caching a copy of it.
+		t = j.Project(node.Chi)
+	}
 	t = r.ep.storeJoin(key, atoms, t)
 	if r.tr != nil || r.em != nil {
 		d := time.Since(joinStart)

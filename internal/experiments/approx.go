@@ -28,11 +28,17 @@ import (
 // one (YES verdicts are exactly confirmed by construction, and 1/5 is far
 // outside the ε-band around every k here, so NO verdicts carry no real δ
 // risk), no pair may escalate, and the approximate path must be at least
-// 2x faster than the exact one on both NO rows. Both legs run on the same
-// Prepared after a warm pass, best-of-3 walls.
+// 2x faster than the exact one on both NO rows. The exact leg is timed on
+// a cold pair-count memo: the engine memoizes each (head, body) count of
+// two stored relations for the whole epoch, so a repeated exact decision
+// costs a few map lookups and would measure the memo, not counting. Each
+// repetition therefore builds a fresh engine and warms its atom tables
+// with an approximate pass (sampling never fills the memo), then times the
+// exact leg, the approximate leg, and an ungated second exact decision on
+// the now-warm memo (exact-warm). Walls are best-of-3.
 func runE26(ctx context.Context, quick bool) (*Result, error) {
 	res := &Result{ID: "E26", Title: "Approximate decisions: sampling vs exact DecideFirst on a 100k-tuple NO-heavy cnf workload",
-		Header: []string{"k", "exact", "approx", "exact-wall", "approx-wall", "speedup", "samples", "escalated"}}
+		Header: []string{"k", "exact", "approx", "exact-wall", "approx-wall", "speedup", "samples", "escalated", "exact-warm"}}
 
 	const (
 		bodyRels = workload.DecideBodyRels
@@ -44,36 +50,46 @@ func runE26(ctx context.Context, quick bool) (*Result, error) {
 	total := bodyRels*rowsPer + headRels*headVals
 
 	mq := core.MustParse("R(Y) <- P(X,Y)")
-	eng := engine.NewEngine(db)
-	prep, err := eng.Prepare(mq, engine.Options{
+	opt := engine.Options{
 		Type:   core.Type0,
 		Approx: engine.ApproxOptions{Epsilon: 0.1, Delta: 0.05},
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Warm pass: fills the node-join cache both legs share, so the timed
-	// passes compare decision work rather than first-touch materialization.
-	if _, _, _, err := prep.DecideFirstStats(ctx, core.Cnf, rat.New(1, 2)); err != nil {
-		return nil, err
 	}
 
 	reps := 3
 	if quick {
 		reps = 2
 	}
-	bestOf := func(fn func() error) (time.Duration, error) {
-		var best time.Duration
-		for r := 0; r < reps; r++ {
-			d, err := timeIt(fn)
-			if err != nil {
-				return 0, err
-			}
-			if r == 0 || d < best {
-				best = d
-			}
+	type walls struct{ exact, approx, warm time.Duration }
+	// rep runs one repetition of row k on a fresh engine. The untimed
+	// approximate pass at k = 1/2 materializes every atom table and node
+	// join both legs read, without touching the pair-count memo.
+	rep := func(k rat.Rat) (w walls, exactYes, apxYes bool, apxStats *engine.Stats, err error) {
+		prep, err := engine.NewEngine(db).Prepare(mq, opt)
+		if err != nil {
+			return
 		}
-		return best, nil
+		if _, _, _, err = prep.DecideApproxStats(ctx, core.Cnf, rat.New(1, 2)); err != nil {
+			return
+		}
+		if w.exact, err = timeIt(func() error {
+			var err error
+			exactYes, _, _, err = prep.DecideFirstStats(ctx, core.Cnf, k)
+			return err
+		}); err != nil {
+			return
+		}
+		if w.approx, err = timeIt(func() error {
+			var err error
+			apxYes, _, apxStats, err = prep.DecideApproxStats(ctx, core.Cnf, k)
+			return err
+		}); err != nil {
+			return
+		}
+		w.warm, err = timeIt(func() error {
+			_, _, _, err := prep.DecideFirstStats(ctx, core.Cnf, k)
+			return err
+		})
+		return
 	}
 
 	pass := true
@@ -87,28 +103,27 @@ func runE26(ctx context.Context, quick bool) (*Result, error) {
 		{rat.New(1, 10), true, false},
 	}
 	for _, c := range cases {
-		var exactYes bool
-		exactWall, err := bestOf(func() error {
-			var err error
-			exactYes, _, _, err = prep.DecideFirstStats(ctx, core.Cnf, c.k)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		var apxYes bool
+		var best walls
+		var exactYes, apxYes bool
 		var apxStats *engine.Stats
-		apxWall, err := bestOf(func() error {
-			var err error
-			apxYes, _, apxStats, err = prep.DecideApproxStats(ctx, core.Cnf, c.k)
-			return err
-		})
-		if err != nil {
-			return nil, err
+		for r := 0; r < reps; r++ {
+			w, ey, ay, st, err := rep(c.k)
+			if err != nil {
+				return nil, err
+			}
+			exactYes, apxYes, apxStats = ey, ay, st
+			if r == 0 || w.exact < best.exact {
+				best.exact = w.exact
+			}
+			if r == 0 || w.approx < best.approx {
+				best.approx = w.approx
+			}
+			if r == 0 || w.warm < best.warm {
+				best.warm = w.warm
+			}
 		}
 
-		speedup := float64(exactWall) / float64(apxWall)
+		speedup := float64(best.exact) / float64(best.approx)
 		if exactYes != apxYes || exactYes != c.wantYes {
 			pass = false
 			res.Notef("k=%s: verdicts exact=%v approx=%v want=%v", c.k, exactYes, apxYes, c.wantYes)
@@ -122,14 +137,15 @@ func runE26(ctx context.Context, quick bool) (*Result, error) {
 			res.Notef("k=%s: approx %.2fx vs exact, want >= 2x on the NO-heavy rows", c.k, speedup)
 		}
 		res.AddRow(c.k.String(), verdictE26(exactYes), verdictE26(apxYes),
-			fmtDur(exactWall), fmtDur(apxWall), fmt.Sprintf("%.1fx", speedup),
-			fmt.Sprint(apxStats.SamplesDrawn), fmt.Sprint(apxStats.ApproxEscalated))
+			fmtDur(best.exact), fmtDur(best.approx), fmt.Sprintf("%.1fx", speedup),
+			fmt.Sprint(apxStats.SamplesDrawn), fmt.Sprint(apxStats.ApproxEscalated), fmtDur(best.warm))
 	}
 
 	res.Notef("workload: %d tuples (%d binary relations x %d rows + %d unary head relations x %d values); cnf = 1/5 for all %d candidate pairs",
 		total, bodyRels, rowsPer, headRels, headVals, bodyRels*headRels)
 	res.Notef("approx: eps=0.1 delta=0.05, derived sample budget, fixed default seed; YES verdicts exactly confirmed before acceptance")
-	res.Notef("pass = verdict agreement on every row, zero escalations, and >= 2x wall speedup on the NO-heavy rows (best-of-%d)", reps)
+	res.Notef("pass = verdict agreement on every row, zero escalations, and >= 2x wall speedup on the NO-heavy rows (best-of-%d, fresh engine per repetition, cold pair-count memo)", reps)
+	res.Notef("exact-warm: the same exact decision repeated on the warm pair-count memo; reported, not gated")
 	res.Pass = pass
 	return res, nil
 }

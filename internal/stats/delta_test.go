@@ -94,7 +94,8 @@ func TestWithDeltaMatchesRecollection(t *testing.T) {
 
 // TestWithDeltaEdgeCases covers the recollection fallbacks: a change for a
 // relation the database no longer has, a change for a brand-new relation,
-// and the StalenessRebuild cap forcing a periodic exact recollection.
+// the StalenessRebuild cap forcing a periodic exact recollection, and a
+// second WithDelta on a version whose value counts the first one moved.
 func TestWithDeltaEdgeCases(t *testing.T) {
 	db := relation.NewDatabase()
 	db.MustInsertNamed("p", "a", "b")
@@ -130,6 +131,31 @@ func TestWithDeltaEdgeCases(t *testing.T) {
 	}
 	if d := stN.DiffFrom(stats.Collect(db)); d != "" {
 		t.Fatalf("stats drifted across the staleness rebuild: %s", d)
+	}
+
+	// WithDelta twice on the same version: the first call moves p's value
+	// counts to its result, so the second finds none and must recollect
+	// exactly rather than absorb the change into stale or shared counts.
+	// The moved-from version keeps its own row and column statistics.
+	base := stats.Collect(db)
+	baseRows := base.Relation("p").Rows
+	ch1 := applyChange(t, db, "p", [][]string{{"a", "z"}}, nil)
+	first := base.WithDelta(db, []stats.RelationChange{ch1})
+	if d := first.DiffFrom(stats.Collect(db)); d != "" {
+		t.Fatalf("first WithDelta: %s", d)
+	}
+	ch2 := applyChange(t, db, "p", [][]string{{"e", "b"}}, [][]string{{"c", "d"}})
+	second := base.WithDelta(db, []stats.RelationChange{ch2})
+	if d := second.DiffFrom(stats.Collect(db)); d != "" {
+		t.Fatalf("second WithDelta on the same version: %s", d)
+	}
+	if got := base.Relation("p").Rows; got != baseRows {
+		t.Fatalf("moved-from version's p rows = %d, want %d", got, baseRows)
+	}
+	// The chain continues from the second result.
+	ch3 := applyChange(t, db, "p", nil, [][]string{{"a", "z"}})
+	if d := second.WithDelta(db, []stats.RelationChange{ch3}).DiffFrom(stats.Collect(db)); d != "" {
+		t.Fatalf("WithDelta after a recollection: %s", d)
 	}
 }
 

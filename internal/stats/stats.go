@@ -21,9 +21,10 @@
 //
 // For mutable databases, Collect retains the per-column value counts the
 // sketch is derived from; WithDelta then absorbs a batch of
-// inserted/removed tuples by adjusting those counts and re-deriving
-// Distinct/MCV — O(delta) instead of a rescan — falling back to an exact
-// recollection every StalenessRebuild deltas so no drift can persist.
+// inserted/removed tuples by moving those counts to the new version,
+// adjusting them in place and re-deriving Distinct/MCV — no rescan —
+// falling back to an exact recollection every StalenessRebuild deltas so
+// no drift can persist.
 package stats
 
 import (
@@ -86,15 +87,17 @@ type RelationStats struct {
 	Cols []ColumnStats
 
 	// counts holds the exact per-column value counts the ColumnStats are
-	// derived from, enabling O(delta) maintenance in WithDelta. deltas
-	// counts the WithDelta applications since the last exact collection.
+	// derived from, enabling O(delta) maintenance in WithDelta; nil once
+	// WithDelta has moved them to a newer version. deltas counts the
+	// WithDelta applications since the last exact collection.
 	counts []map[relation.Value]int
 	deltas int
 }
 
-// Stats holds the collected statistics of one database snapshot. All
-// methods are safe for concurrent use (the structure is immutable after
-// Collect).
+// Stats holds the collected statistics of one database snapshot. Every
+// method but WithDelta is safe for concurrent use, also with a WithDelta
+// running: row counts and column statistics are immutable after Collect,
+// and only WithDelta reads or moves the value counts.
 type Stats struct {
 	db   *relation.Database
 	rels map[string]*RelationStats
@@ -185,11 +188,16 @@ type RelationChange struct {
 }
 
 // WithDelta derives the statistics of db — the changed database version —
-// from st by absorbing the given per-relation changes; st itself is left
-// untouched (old-epoch readers keep using it). Known relations are
-// updated from their value counts without rescanning their rows; new
-// relations and relations past StalenessRebuild deltas are recollected
-// exactly from db.
+// from st by absorbing the given per-relation changes. Known relations are
+// updated from their value counts without rescanning their rows: the new
+// version takes over each changed relation's count maps and updates them
+// in place, so a delta costs O(|delta|) map updates plus the MCV re-derive
+// rather than a copy of every column's counts. st keeps its Rows and Cols
+// (old-epoch readers read only those) but loses the moved counts, so a
+// later WithDelta on st itself recollects those relations exactly. New
+// relations, relations without counts and relations past StalenessRebuild
+// deltas are recollected exactly from db. Calls must not run concurrently
+// on one chain of versions (the engine's Apply serializes them).
 func (st *Stats) WithDelta(db *relation.Database, changes []RelationChange) *Stats {
 	out := &Stats{db: db, rels: make(map[string]*RelationStats, len(st.rels)+len(changes))}
 	for name, rs := range st.rels {
@@ -202,31 +210,27 @@ func (st *Stats) WithDelta(db *relation.Database, changes []RelationChange) *Sta
 			continue
 		}
 		rs := st.rels[ch.Name]
-		if rs == nil || rs.deltas >= StalenessRebuild {
+		if rs == nil || rs.counts == nil || rs.deltas >= StalenessRebuild {
 			out.rels[ch.Name] = collectRelation(r)
 			continue
 		}
 		nrs := &RelationStats{
 			Rows:   rs.Rows + len(ch.Added) - len(ch.Removed),
 			Cols:   make([]ColumnStats, len(rs.Cols)),
-			counts: make([]map[relation.Value]int, len(rs.counts)),
+			counts: rs.counts,
 			deltas: rs.deltas + 1,
 		}
-		for c, m := range rs.counts {
-			nm := make(map[relation.Value]int, len(m))
-			for v, n := range m {
-				nm[v] = n
-			}
+		rs.counts = nil
+		for c, m := range nrs.counts {
 			for _, t := range ch.Added {
-				nm[t[c]]++
+				m[t[c]]++
 			}
 			for _, t := range ch.Removed {
-				if nm[t[c]]--; nm[t[c]] <= 0 {
-					delete(nm, t[c])
+				if m[t[c]]--; m[t[c]] <= 0 {
+					delete(m, t[c])
 				}
 			}
-			nrs.counts[c] = nm
-			deriveColumn(&nrs.Cols[c], nm)
+			deriveColumn(&nrs.Cols[c], m)
 		}
 		out.rels[ch.Name] = nrs
 	}
